@@ -105,6 +105,11 @@ def jacobi_norm_squared(order: int, alpha: float, beta: float) -> float:
         raise BasisError("polynomial order must be non-negative")
     if alpha <= -1 or beta <= -1:
         raise BasisError("Jacobi parameters must exceed -1")
+    if order == 0:
+        # P_0 = 1 under a probability measure.  The closed form below has a
+        # removable singularity here when alpha + beta + 1 = 0 (log(0) and
+        # lgamma(0)), so the exact value is returned directly.
+        return 1.0
 
     def log_norm_integral(k: int) -> float:
         # integral of (1-x)^a (1+x)^b [P_k^(a,b)]^2 dx over [-1, 1]

@@ -154,15 +154,13 @@ def split_augmented_vector(vector: np.ndarray, basis_size: int, num_nodes: int) 
 
 
 class AugmentedRhsSeries:
-    """Per-basis-index excitation waveforms precomputed over a whole time axis.
+    """Per-basis-index excitation waveforms over a whole time axis.
 
-    A transient loop that calls ``galerkin.rhs(t)`` per step rebuilds the
-    excitation's coefficient dictionary and restacks it into a fresh
-    ``P * n`` vector every time.  This object evaluates the coefficients for
-    *all* time points up front (one waveform array of shape
-    ``(num_times, n)`` per active basis index) so that the per-step right-
-    hand side becomes a plain buffer fill: :meth:`fill` copies the active
-    rows into the caller's buffer and touches nothing else.
+    Holds one ``(num_times, n)`` table per active basis index, evaluated
+    once by the Galerkin system's time-axis coefficient function, so that
+    the per-step right-hand side of a transient loop is a plain buffer
+    fill: :meth:`fill` copies the active rows into the caller's buffer and
+    touches nothing else.
     """
 
     def __init__(self, galerkin: "GalerkinSystem", times: np.ndarray):
@@ -171,24 +169,19 @@ class AugmentedRhsSeries:
         self.basis_size = galerkin.basis.size
         self.num_nodes = galerkin.num_nodes
         waveforms: Dict[int, np.ndarray] = {}
-        for step, t in enumerate(times):
-            for index, vector in galerkin.excitation_coefficients(float(t)).items():
-                if not (0 <= index < self.basis_size):
-                    raise BasisError(
-                        f"excitation refers to basis index {index}, but the basis "
-                        f"has only {self.basis_size} functions (order too low?)"
-                    )
-                table = waveforms.get(index)
-                if table is None:
-                    table = np.zeros((times.size, self.num_nodes))
-                    waveforms[index] = table
-                vector = np.asarray(vector, dtype=float)
-                if vector.shape != (self.num_nodes,):
-                    raise AnalysisError(
-                        f"excitation coefficient {index} has shape {vector.shape}, "
-                        f"expected ({self.num_nodes},)"
-                    )
-                table[step] = vector
+        for index, table in galerkin.excitation_series(times).items():
+            if not (0 <= index < self.basis_size):
+                raise BasisError(
+                    f"excitation refers to basis index {index}, but the basis "
+                    f"has only {self.basis_size} functions (order too low?)"
+                )
+            table = np.asarray(table, dtype=float)
+            if table.shape != (times.size, self.num_nodes):
+                raise AnalysisError(
+                    f"excitation coefficient {index} has shape {table.shape}, "
+                    f"expected ({times.size}, {self.num_nodes})"
+                )
+            waveforms[index] = table
         self._waveforms: Tuple[Tuple[int, np.ndarray], ...] = tuple(
             sorted(waveforms.items())
         )
@@ -240,8 +233,9 @@ class GalerkinSystem:
         Chaos basis of the response.
     conductance_coefficients, capacitance_coefficients:
         Parameter expansions of ``G`` and ``C`` (basis index -> matrix).
-    excitation_coefficients:
-        Callable returning the excitation's chaos coefficients at a time.
+    excitation_series:
+        Callable mapping a time axis ``times`` to the excitation's chaos
+        coefficients over it (basis index -> ``(len(times), n)`` table).
     num_nodes:
         Number of grid nodes (the block size).
     assemble:
@@ -266,7 +260,7 @@ class GalerkinSystem:
         basis: PolynomialChaosBasis,
         conductance_coefficients: Mapping[int, sp.spmatrix],
         capacitance_coefficients: Mapping[int, sp.spmatrix],
-        excitation_coefficients: Callable[[float], Mapping[int, np.ndarray]],
+        excitation_series: Callable[[np.ndarray], Mapping[int, np.ndarray]],
         num_nodes: int,
         assemble: str = "explicit",
     ):
@@ -280,7 +274,7 @@ class GalerkinSystem:
         self.assemble = assemble
         self._conductance_coefficients = _checked_coefficients(conductance_coefficients)
         self._capacitance_coefficients = _checked_coefficients(capacitance_coefficients)
-        self._excitation_coefficients = excitation_coefficients
+        self._excitation_series = excitation_series
         self._matrices: Dict[str, sp.csr_matrix] = {}
         self._operators: Dict[str, KronSumOperator] = {}
         if assemble == "explicit":
@@ -357,18 +351,22 @@ class GalerkinSystem:
         return self.basis.size * self.num_nodes
 
     # ------------------------------------------------------------ excitation
-    def excitation_coefficients(self, t: float) -> Mapping[int, np.ndarray]:
-        """The excitation's chaos coefficients at time ``t`` (basis index -> vector)."""
-        return self._excitation_coefficients(t)
+    def excitation_series(self, times: np.ndarray) -> Mapping[int, np.ndarray]:
+        """The excitation's chaos coefficients over ``times`` (basis index -> table)."""
+        return self._excitation_series(np.asarray(times, dtype=float))
 
     def rhs(self, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Stacked augmented right-hand side ``U~(t)`` (optionally into ``out``)."""
-        return assemble_augmented_rhs(
-            self.basis, self._excitation_coefficients(t), self.num_nodes, out=out
-        )
+        """Stacked augmented right-hand side ``U~(t)`` (optionally into ``out``).
+
+        The one-row view of :meth:`excitation_series`.
+        """
+        coefficients = {
+            index: table[0] for index, table in self.excitation_series(np.array([t])).items()
+        }
+        return assemble_augmented_rhs(self.basis, coefficients, self.num_nodes, out=out)
 
     def rhs_series(self, times: np.ndarray) -> AugmentedRhsSeries:
-        """Precompute the excitation waveforms over a whole time axis.
+        """The excitation waveforms over a whole time axis.
 
         The returned :class:`AugmentedRhsSeries` turns the per-step RHS of a
         transient loop into a buffer fill; see its docstring.

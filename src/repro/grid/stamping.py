@@ -24,7 +24,6 @@ The full nominal matrices are simply the sums of the group matrices.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -32,13 +31,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import StampingError
-from ..waveforms import Waveform
+from ..waveforms import Waveform, WaveformTable
 from .netlist import PowerGridNetlist
 
 __all__ = ["StampedSystem", "stamp"]
-
-#: Bound on the memoised drain-current evaluations (distinct time points).
-_DRAIN_CACHE_SIZE = 256
 
 
 def _two_terminal_stamp(rows, cols, vals, i: Optional[int], j: Optional[int], value: float):
@@ -58,6 +54,21 @@ def _two_terminal_stamp(rows, cols, vals, i: Optional[int], j: Optional[int], va
         rows.append(j)
         cols.append(i)
         vals.append(-value)
+
+
+def _incidence(source_nodes: np.ndarray, num_nodes: int, keep: np.ndarray) -> sp.csr_matrix:
+    """Node-by-source 0/1 matrix of the ``keep`` sources, columns sorted per row.
+
+    A CSR product then adds each node's sources in source order, starting
+    from zero -- the same sums as a per-source accumulation loop.
+    """
+    sources = np.flatnonzero(keep)
+    matrix = sp.csr_matrix(
+        (np.ones(sources.size), (source_nodes[sources], sources)),
+        shape=(num_nodes, source_nodes.size),
+    )
+    matrix.sort_indices()
+    return matrix
 
 
 @dataclass
@@ -80,6 +91,19 @@ class StampedSystem:
     source_is_leakage: np.ndarray
     pad_nodes: np.ndarray
 
+    def __post_init__(self):
+        # The excitation's source table, built once: the waveforms grouped
+        # by class for vectorised evaluation, plus the node-by-source
+        # incidence matrices that scatter the values to nodes (one for all
+        # sources, one without the leakage sources).
+        self.source_table = WaveformTable(self.source_waveforms)
+        nodes = np.asarray(self.source_nodes, dtype=int)
+        leakage = np.asarray(self.source_is_leakage, dtype=bool)
+        self._incidence = {
+            True: _incidence(nodes, self.num_nodes, np.ones_like(leakage)),
+            False: _incidence(nodes, self.num_nodes, ~leakage),
+        }
+
     # ------------------------------------------------------------ properties
     @property
     def num_nodes(self) -> int:
@@ -96,68 +120,25 @@ class StampedSystem:
         return (self.c_gate + self.c_fixed).tocsr()
 
     # ------------------------------------------------------------ excitation
-    def enable_drain_cache(self) -> None:
-        """Memoise :meth:`drain_current_vector` per ``(t, include_leakage)``.
+    def drain_current_matrix(
+        self, times: Sequence[float], include_leakage: bool = True
+    ) -> np.ndarray:
+        """Drain currents for all ``times`` at once; shape ``(n_times, n_nodes)``.
 
-        Opt-in for callers that share this stamped system across many runs
-        on one fixed time grid -- the sweep runner's session cache enables
-        it so every corner session (and the excitation sensitivities, which
-        revisit the very same time points) pays the waveform sum once.  It
-        is *not* on by default: single-run engine benchmarks (e.g. the
-        OPERA-vs-Monte-Carlo wall-time comparison) measure the uncached
-        evaluation cost on both sides.
+        The single evaluator from waveforms to node currents: the source
+        table evaluates every waveform over ``times`` and an incidence
+        product sums them per node in source order, so each entry equals the
+        scalar sum ``sum(float(w(t)))`` over the node's sources bit for bit.
         """
-        if getattr(self, "_drain_cache", None) is None:
-            self._drain_cache = OrderedDict()
+        values = self.source_table(times)
+        return np.ascontiguousarray((self._incidence[bool(include_leakage)] @ values).T)
 
     def drain_current_vector(self, t: float, include_leakage: bool = True) -> np.ndarray:
         """Total drain current drawn at each node at time ``t`` (amps, >= 0).
 
-        With :meth:`enable_drain_cache` active, evaluations are memoised per
-        ``(t, include_leakage)`` in a bounded LRU; the waveform sum is a
-        deterministic function of the netlist alone, so cached and uncached
-        results are identical.  A fresh copy is returned on every call, so
-        callers may mutate the result freely.
+        The one-row view of :meth:`drain_current_matrix`.
         """
-        cache = getattr(self, "_drain_cache", None)
-        if cache is not None:
-            key = (float(t), bool(include_leakage))
-            value = cache.get(key)
-            if value is not None:
-                cache.move_to_end(key)
-                return value.copy()
-        i = np.zeros(self.num_nodes)
-        for node, waveform, leak in zip(
-            self.source_nodes, self.source_waveforms, self.source_is_leakage
-        ):
-            if not include_leakage and leak:
-                continue
-            i[node] += float(waveform(t))
-        if cache is not None:
-            cache[key] = i
-            while len(cache) > _DRAIN_CACHE_SIZE:
-                cache.popitem(last=False)
-            return i.copy()
-        return i
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_drain_cache", None)
-        return state
-
-    def drain_current_matrix(
-        self, times: Sequence[float], include_leakage: bool = True
-    ) -> np.ndarray:
-        """Drain currents for all ``times`` at once; shape ``(n_times, n_nodes)``."""
-        times = np.asarray(times, dtype=float)
-        out = np.zeros((times.size, self.num_nodes))
-        for node, waveform, leak in zip(
-            self.source_nodes, self.source_waveforms, self.source_is_leakage
-        ):
-            if not include_leakage and leak:
-                continue
-            out[:, node] += np.asarray(waveform(times), dtype=float)
-        return out
+        return self.drain_current_matrix([t], include_leakage=include_leakage)[0]
 
     def rhs(self, t: float) -> np.ndarray:
         """MNA right-hand side ``U(t) = G1*VDD - i(t)`` at time ``t``."""

@@ -38,6 +38,7 @@ import numpy as np
 from ..errors import AnalysisError
 from ..sim.dc import solve_dc
 from ..sim.transient import TransientConfig, run_transient
+from ..stepping import StackedRhsSeries
 from ..variation.model import StochasticSystem
 from .sampler import GermSampler
 from .statistics import RunningMoments
@@ -245,19 +246,27 @@ def _accumulate_transient_chunk(
     germs: np.ndarray,
     store_nodes: Tuple[int, ...],
 ) -> Tuple[RunningMoments, Dict[int, np.ndarray]]:
-    """One deterministic transient per germ; Welford moments + stored drops."""
+    """One deterministic transient per germ; Welford moments + stored drops.
+
+    The excitation is evaluated over the time axis once per chunk; each
+    sample's right-hand side table is then a buffer fill, into one buffer
+    reused by every sample.
+    """
     moments = RunningMoments()
     stored: Dict[int, List[np.ndarray]] = {node: [] for node in store_nodes}
+    times = transient.times()
+    excitation = system.excitation.over(times)
+    rhs = np.empty((times.size, system.num_nodes))
     for xi in germs:
         conductance, capacitance = system.realize_matrices(xi)
-        rhs = system.realize_rhs(xi)
         result = run_transient(
             conductance,
             capacitance,
-            rhs,
+            None,
             transient,
             vdd=system.vdd,
             store=True,
+            rhs_series=StackedRhsSeries(times, excitation.sample(xi, rhs)[:, None]),
         )
         moments.update(result.voltages)
         for node in store_nodes:

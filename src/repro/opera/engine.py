@@ -91,7 +91,7 @@ def build_galerkin_system(
         capacitance_coefficients=_matrix_coefficients(
             basis, system.c_nominal, system.c_sensitivities
         ),
-        excitation_coefficients=lambda t: system.excitation.pc_coefficients(basis, t),
+        excitation_series=lambda times: system.excitation.over(times).pc_coefficients(basis),
         num_nodes=system.num_nodes,
         assemble=assemble,
     )

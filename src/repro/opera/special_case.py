@@ -71,17 +71,12 @@ def run_decoupled_transient(
     capacitance = system.c_nominal.tocsr()
 
     # The set of active chaos coefficients is fixed by the excitation structure.
-    initial_coefficients = system.excitation.pc_coefficients(basis, float(times[0]))
-    active = sorted(initial_coefficients.keys())
+    tables = system.excitation.over(times).pc_coefficients(basis)
+    active = sorted(tables.keys())
 
     coefficients = np.zeros((times.size, basis.size, n))
     if active:
-        series = StackedRhsSeries.from_coefficients(
-            lambda t: system.excitation.pc_coefficients(basis, t),
-            times,
-            active,
-            n,
-        )
+        series = StackedRhsSeries.from_coefficients(times, tables, active)
         adapter = DecoupledSystemAdapter(
             conductance,
             capacitance,
@@ -170,16 +165,11 @@ def run_decoupled_transient_stacked(
     spans: List[Optional[tuple]] = []
     offset = 0
     for system, basis in zip(systems, bases):
-        initial = system.excitation.pc_coefficients(basis, float(times[0]))
-        active = sorted(initial.keys())
+        case_tables = system.excitation.over(times).pc_coefficients(basis)
+        active = sorted(case_tables.keys())
         actives.append(np.asarray(active, dtype=int))
         if active:
-            series = StackedRhsSeries.from_coefficients(
-                lambda t, s=system, b=basis: s.excitation.pc_coefficients(b, t),
-                times,
-                active,
-                n,
-            )
+            series = StackedRhsSeries.from_coefficients(times, case_tables, active)
             tables.append(series._waveforms)
             spans.append((offset, offset + len(active)))
             offset += len(active)

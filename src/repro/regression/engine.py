@@ -40,6 +40,7 @@ from ..montecarlo.engine import _chunk_layout, _chunk_seeds, _run_chunk_jobs
 from ..montecarlo.sampler import GermSampler
 from ..sim.dc import solve_dc
 from ..sim.transient import TransientConfig, run_transient
+from ..stepping import StackedRhsSeries
 from ..telemetry import current_telemetry
 from ..variation.model import StochasticSystem
 from .design import build_design_matrix
@@ -125,11 +126,19 @@ def _transient_sample_job(args):
     sampler = GermSampler(system, seed=chunk_seed)
     germs = sampler.sample(chunk_samples)
     voltages = np.empty((chunk_samples, transient.num_steps + 1, system.num_nodes))
+    times = transient.times()
+    excitation = system.excitation.over(times)
+    rhs = np.empty((times.size, system.num_nodes))
     for i, xi in enumerate(germs):
         conductance, capacitance = system.realize_matrices(xi)
-        rhs = system.realize_rhs(xi)
         result = run_transient(
-            conductance, capacitance, rhs, transient, vdd=system.vdd, store=True
+            conductance,
+            capacitance,
+            None,
+            transient,
+            vdd=system.vdd,
+            store=True,
+            rhs_series=StackedRhsSeries(times, excitation.sample(xi, rhs)[:, None]),
         )
         voltages[i] = result.voltages
     return germs, voltages

@@ -36,7 +36,14 @@ import numpy as np
 
 from ..errors import SolverError
 from ..grid.stamping import StampedSystem
-from ..stepping import MnaSystemAdapter, StepCallback, StepLoop, SteppingScheme, resolve_scheme
+from ..stepping import (
+    MnaSystemAdapter,
+    StackedRhsSeries,
+    StepCallback,
+    StepLoop,
+    SteppingScheme,
+    resolve_scheme,
+)
 from .results import TransientResult
 
 __all__ = ["TransientConfig", "run_transient", "transient_analysis", "StepCallback"]
@@ -177,13 +184,15 @@ def transient_analysis(
     solver_factory: Optional[SolverFactory] = None,
 ) -> TransientResult:
     """Nominal (deterministic) transient analysis of a stamped power grid."""
+    times = config.times()
     return run_transient(
         system.conductance,
         system.capacitance,
-        system.rhs,
+        None,
         config,
         vdd=system.vdd,
         callback=callback,
         store=store,
         solver_factory=solver_factory,
+        rhs_series=StackedRhsSeries(times, system.rhs_matrix(times)[:, None]),
     )

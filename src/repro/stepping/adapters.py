@@ -200,7 +200,6 @@ class GalerkinSystemAdapter(MnaSystemAdapter):
         super().__init__(
             conductance,
             capacitance,
-            rhs_function=galerkin.rhs,
             solver=solver,
             solver_factory=solver_factory,
             solver_options=options,
@@ -237,21 +236,12 @@ class StackedRhsSeries:
     @classmethod
     def from_coefficients(
         cls,
-        coefficients_at: Callable[[float], Mapping[int, np.ndarray]],
         times: np.ndarray,
+        coefficients: Mapping[int, np.ndarray],
         indices: Sequence[int],
-        num_nodes: int,
     ) -> "StackedRhsSeries":
-        """Evaluate a coefficient function over a time axis for given tracks."""
-        times = np.asarray(times, dtype=float)
-        indices = tuple(int(index) for index in indices)
-        table = np.zeros((times.size, len(indices), num_nodes))
-        zeros = np.zeros(num_nodes)
-        for step, t in enumerate(times):
-            current = coefficients_at(float(t))
-            for position, index in enumerate(indices):
-                table[step, position] = np.asarray(current.get(index, zeros), dtype=float)
-        return cls(times, table)
+        """Stack the ``(num_times, n)`` coefficient tables of the given tracks."""
+        return cls(times, np.stack([coefficients[int(index)] for index in indices], axis=1))
 
     def fill(self, step: int, out: np.ndarray) -> np.ndarray:
         expected = self._waveforms.shape[1] * self._waveforms.shape[2]

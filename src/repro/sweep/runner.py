@@ -219,10 +219,6 @@ class _SessionCache:
                 # per sweep -- the macromodel counterpart of the
                 # factorization reuse across corners.
                 session._caches["macromodel"] = sibling._caches["macromodel"]
-            # Every corner session and every run on this grid asks for the
-            # same fixed time grid; memoise the drain-current sums (the
-            # cached values are identical to uncached evaluation).
-            session.stamped.enable_drain_cache()
             grid[key] = session
         return session
 

@@ -68,8 +68,8 @@ class Span:
     Spans nest: the depth recorded in the trace event is the number of
     enclosing open spans at entry time.  The ``phase`` attribute (if given)
     is hoisted to a top-level event field so reports can group sections into
-    the canonical phases (``assemble`` / ``factor`` / ``step`` / ``fit`` /
-    ``run``).
+    the canonical phases (``excite`` / ``assemble`` / ``factor`` / ``step`` /
+    ``fit`` / ``run``).
     """
 
     __slots__ = ("_telemetry", "name", "attrs", "phase", "start", "duration", "depth")

@@ -29,12 +29,19 @@ import numpy as np
 
 from ..errors import VariationModelError
 from ..grid.stamping import StampedSystem
-from .model import GermVariable, StochasticExcitation, StochasticSystem
+from .model import (
+    DrainTables,
+    ExcitationSeries,
+    GermVariable,
+    StochasticExcitation,
+    StochasticSystem,
+)
 from .regions import RegionPartition
 
 __all__ = [
     "LeakageVariationSpec",
     "RegionLeakageExcitation",
+    "LeakageSeries",
     "build_leakage_system",
 ]
 
@@ -151,42 +158,61 @@ class RegionLeakageExcitation(StochasticExcitation):
         return [vector.copy() for vector in self._region_leakage]
 
     # ------------------------------------------------------------ evaluation
-    def _deterministic_part(self, t: float) -> np.ndarray:
-        """Pad injection minus switching currents minus unassigned leakage."""
-        switching = self._stamped.drain_current_vector(t, include_leakage=False)
-        return self._stamped.pad_current - switching - self._unassigned_leakage
+    def series(self, drains: DrainTables) -> "LeakageSeries":
+        # Pad injection minus switching currents minus unassigned leakage.
+        switching = drains(self._stamped, include_leakage=False)
+        deterministic = (
+            self._stamped.pad_current[None, :] - switching - self._unassigned_leakage[None, :]
+        )
+        return LeakageSeries(deterministic, self)
 
-    def sample(self, t: float, xi: np.ndarray) -> np.ndarray:
+
+class LeakageSeries(ExcitationSeries):
+    """:class:`RegionLeakageExcitation` over one time axis.
+
+    The region leakage vectors are constant in time, so only the
+    deterministic part is a ``(T, n)`` table; they are broadcast over it.
+    """
+
+    def __init__(self, deterministic: np.ndarray, excitation: RegionLeakageExcitation):
+        self.deterministic = deterministic
+        self.spec = excitation.spec
+        self.num_variables = excitation.num_variables
+        self.region_leakage = excitation._region_leakage
+
+    def sample(self, xi: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (self.num_variables,):
             raise VariationModelError(f"xi must have shape ({self.num_variables},), got {xi.shape}")
-        value = self._deterministic_part(t)
+        value = self.deterministic
         factors = self.spec.factor(xi)
-        for region, vector in enumerate(self._region_leakage):
-            value = value - factors[region] * vector
+        # A partition has at least one region, so ``out`` is always written.
+        for region, vector in enumerate(self.region_leakage):
+            value = np.subtract(value, factors[region] * vector, out=out)
         return value
 
-    def pc_coefficients(self, basis, t: float) -> Dict[int, np.ndarray]:
+    def pc_coefficients(self, basis) -> Dict[int, np.ndarray]:
         max_degree = basis.order
         hermite = self.spec.hermite_coefficients(max_degree)
+        shape = self.deterministic.shape
 
         coefficients: Dict[int, np.ndarray] = {}
-        mean = self._deterministic_part(t)
-        for vector in self._region_leakage:
+        mean = self.deterministic
+        for vector in self.region_leakage:
             mean = mean - hermite[0] * vector
         coefficients[0] = mean
 
-        for region, vector in enumerate(self._region_leakage):
+        for region, vector in enumerate(self.region_leakage):
             for degree in range(1, max_degree + 1):
                 multi_index = tuple(
                     degree if dim == region else 0 for dim in range(self.num_variables)
                 )
                 index = basis.index_of(multi_index)
-                contribution = -hermite[degree] * vector
+                contribution = np.broadcast_to(-hermite[degree] * vector, shape)
                 if index in coefficients:
                     coefficients[index] = coefficients[index] + contribution
                 else:
-                    coefficients[index] = contribution
+                    coefficients[index] = contribution.copy()
         return coefficients
 
 

@@ -30,20 +30,27 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import VariationModelError
 from ..grid.stamping import StampedSystem
+from ..telemetry import current_telemetry
 
 __all__ = [
     "VariationSpec",
     "GermVariable",
     "StochasticExcitation",
+    "ExcitationSeries",
+    "DrainTables",
+    "term_table",
     "AffineExcitation",
+    "AffineSeries",
     "SummedExcitation",
+    "SummedSeries",
+    "NominalRhs",
     "ConstantSensitivity",
     "ScaledDrainCurrentSensitivity",
     "StochasticSystem",
@@ -152,41 +159,53 @@ class GermVariable:
 # ---------------------------------------------------------------------------
 # Excitations
 # ---------------------------------------------------------------------------
-class StochasticExcitation(abc.ABC):
-    """Right-hand side ``U(t, xi)`` of the stochastic MNA system.
+class DrainTables:
+    """Drain-current matrices of one time axis, evaluated once per grid.
 
-    Two views of the same object are needed:
-
-    * :meth:`sample` -- exact evaluation at a germ realisation, used by the
-      Monte Carlo baseline;
-    * :meth:`pc_coefficients` -- the coefficients of the excitation in the
-      orthonormal chaos basis, used by the Galerkin projection.
+    Every term of an excitation that needs ``i(t)`` of a stamped grid asks
+    this object, so one :meth:`StampedSystem.drain_current_matrix` call per
+    ``(grid, include_leakage)`` feeds the nominal ``G1*VDD - i`` term, every
+    ``-scale * i`` sensitivity and every part of a summed excitation.
     """
 
-    @abc.abstractmethod
-    def sample(self, t: float, xi: np.ndarray) -> np.ndarray:
-        """Evaluate ``U(t, xi)`` for one germ realisation ``xi``."""
+    def __init__(self, times):
+        self.times = np.asarray(times, dtype=float).reshape(-1)
+        # Keyed by grid identity; each entry keeps its grid alive so the id
+        # cannot be reused while the tables live.
+        self._tables: Dict[Tuple[int, bool], Tuple[StampedSystem, np.ndarray]] = {}
 
-    @abc.abstractmethod
-    def pc_coefficients(self, basis, t: float) -> Dict[int, np.ndarray]:
-        """Coefficients of ``U(t, .)`` on the orthonormal basis.
+    def __call__(self, stamped: StampedSystem, include_leakage: bool = True) -> np.ndarray:
+        key = (id(stamped), bool(include_leakage))
+        entry = self._tables.get(key)
+        if entry is None:
+            entry = (stamped, stamped.drain_current_matrix(self.times, include_leakage))
+            self._tables[key] = entry
+        return entry[1]
 
-        Returns a mapping from basis index to coefficient vector; absent
-        indices are zero.
-        """
 
-    def nominal(self, t: float) -> np.ndarray:
-        """Mean excitation (the coefficient of the constant basis function)."""
-        return self.sample(t, np.zeros(self.num_variables))
+def term_table(term, drains: DrainTables) -> np.ndarray:
+    """The ``(T, n)`` table of one excitation term over ``drains.times``.
 
-    @property
-    @abc.abstractmethod
-    def num_variables(self) -> int:
-        """Number of germ variables this excitation depends on."""
+    Terms with a ``table(drains)`` method are evaluated over the whole axis
+    at once; a plain callable of time is called per time point and stacked.
+    """
+    if hasattr(term, "table"):
+        return term.table(drains)
+    return np.array([np.asarray(term(float(t)), dtype=float) for t in drains.times])
+
+
+class NominalRhs:
+    """``t -> G1*VDD - i(t)``: the nominal MNA right-hand side of a grid."""
+
+    def __init__(self, stamped: StampedSystem):
+        self.stamped = stamped
+
+    def table(self, drains: DrainTables) -> np.ndarray:
+        return self.stamped.pad_current[None, :] - drains(self.stamped)
 
 
 class ConstantSensitivity:
-    """A time-independent sensitivity vector as a callable of time.
+    """A time-independent sensitivity vector.
 
     A plain class (rather than a closure) so that excitations built from it
     -- and hence whole :class:`StochasticSystem` objects -- can be pickled
@@ -197,8 +216,8 @@ class ConstantSensitivity:
     def __init__(self, vector: np.ndarray):
         self.vector = np.asarray(vector, dtype=float)
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.vector
+    def table(self, drains: DrainTables) -> np.ndarray:
+        return np.repeat(self.vector[None, :], drains.times.size, axis=0)
 
 
 class ScaledDrainCurrentSensitivity:
@@ -213,21 +232,113 @@ class ScaledDrainCurrentSensitivity:
         self.stamped = stamped
         self.scale = float(scale)
 
-    def __call__(self, t: float) -> np.ndarray:
-        return -self.scale * self.stamped.drain_current_vector(t)
+    def table(self, drains: DrainTables) -> np.ndarray:
+        return -self.scale * drains(self.stamped)
+
+
+class ExcitationSeries(abc.ABC):
+    """An excitation evaluated over one time axis (see :meth:`StochasticExcitation.over`).
+
+    Holds ``(T, n)`` tables, so a sample's right-hand side or the chaos
+    coefficients over the whole axis are a few array operations.
+    """
+
+    @abc.abstractmethod
+    def sample(self, xi: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``U(t, xi)`` for every time point; shape ``(T, n)``.
+
+        ``out`` is an optional ``(T, n)`` buffer to write into, so a loop
+        over samples can reuse one buffer.
+        """
+
+    @abc.abstractmethod
+    def pc_coefficients(self, basis) -> Dict[int, np.ndarray]:
+        """Chaos coefficients of ``U``: basis index -> ``(T, n)`` table."""
+
+
+class StochasticExcitation(abc.ABC):
+    """Right-hand side ``U(t, xi)`` of the stochastic MNA system.
+
+    :meth:`over` evaluates it over a whole time axis once, into an
+    :class:`ExcitationSeries`; two per-time views of the same object remain:
+
+    * :meth:`sample` -- exact evaluation at a germ realisation;
+    * :meth:`pc_coefficients` -- the coefficients of the excitation in the
+      orthonormal chaos basis, used by the Galerkin projection.
+
+    Both are one-row views of :meth:`over`, so every path from waveforms to
+    right-hand sides is the same arithmetic.
+    """
+
+    def over(self, times) -> ExcitationSeries:
+        """The excitation over the time axis ``times``."""
+        drains = DrainTables(times)
+        with current_telemetry().span("excitation.over", phase="excite", times=drains.times.size):
+            return self.series(drains)
+
+    @abc.abstractmethod
+    def series(self, drains: DrainTables) -> ExcitationSeries:
+        """The excitation over ``drains.times``, its drain currents from ``drains``."""
+
+    def sample(self, t: float, xi: np.ndarray) -> np.ndarray:
+        """Evaluate ``U(t, xi)`` for one germ realisation ``xi``."""
+        return self.series(DrainTables([t])).sample(xi)[0]
+
+    def pc_coefficients(self, basis, t: float) -> Dict[int, np.ndarray]:
+        """Coefficients of ``U(t, .)`` on the orthonormal basis.
+
+        Returns a mapping from basis index to coefficient vector; absent
+        indices are zero.
+        """
+        tables = self.series(DrainTables([t])).pc_coefficients(basis)
+        return {index: table[0] for index, table in tables.items()}
+
+    def nominal(self, t: float) -> np.ndarray:
+        """Mean excitation (the coefficient of the constant basis function)."""
+        return self.sample(t, np.zeros(self.num_variables))
+
+    @property
+    @abc.abstractmethod
+    def num_variables(self) -> int:
+        """Number of germ variables this excitation depends on."""
+
+
+class AffineSeries(ExcitationSeries):
+    """:class:`AffineExcitation` over one time axis: ``U0`` and one ``U_k`` per germ."""
+
+    def __init__(self, nominal: np.ndarray, sensitivities: Tuple[Tuple[int, np.ndarray], ...]):
+        self.nominal = nominal
+        self.sensitivities = sensitivities
+
+    def sample(self, xi: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        value = np.empty_like(self.nominal) if out is None else out
+        np.copyto(value, self.nominal)
+        for var, table in self.sensitivities:
+            value += xi[var] * table
+        return value
+
+    def pc_coefficients(self, basis) -> Dict[int, np.ndarray]:
+        coefficients = {0: self.nominal}
+        if getattr(basis, "order", 1) >= 1:
+            for var, table in self.sensitivities:
+                coefficients[basis.first_order_index(var)] = table
+        return coefficients
 
 
 class AffineExcitation(StochasticExcitation):
     """``U(t, xi) = u0(t) + sum_k u_k(t) xi_k`` (first-order germ dependence).
 
-    ``sensitivities`` maps germ *variable index* to the function returning
-    that germ's sensitivity vector at time ``t``.
+    ``nominal`` and the values of ``sensitivities`` (keyed by germ *variable
+    index*) are excitation terms: objects with a ``table(drains)`` method
+    such as :class:`NominalRhs`, or plain callables of time (see
+    :func:`term_table`).
     """
 
     def __init__(
         self,
-        nominal: Callable[[float], np.ndarray],
-        sensitivities: Mapping[int, Callable[[float], np.ndarray]],
+        nominal,
+        sensitivities: Mapping[int, object],
         num_variables: int,
     ):
         self._nominal = nominal
@@ -244,20 +355,37 @@ class AffineExcitation(StochasticExcitation):
     def num_variables(self) -> int:
         return self._num_variables
 
-    def sample(self, t: float, xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        value = np.array(self._nominal(t), dtype=float, copy=True)
-        for var, sensitivity in self._sensitivities.items():
-            value += xi[var] * np.asarray(sensitivity(t), dtype=float)
-        return value
+    def series(self, drains: DrainTables) -> AffineSeries:
+        return AffineSeries(
+            term_table(self._nominal, drains),
+            tuple(
+                (var, term_table(sensitivity, drains))
+                for var, sensitivity in self._sensitivities.items()
+            ),
+        )
 
-    def pc_coefficients(self, basis, t: float) -> Dict[int, np.ndarray]:
-        coefficients = {0: np.asarray(self._nominal(t), dtype=float)}
-        if getattr(basis, "order", 1) >= 1:
-            for var, sensitivity in self._sensitivities.items():
-                index = basis.first_order_index(var)
-                coefficients[index] = np.asarray(sensitivity(t), dtype=float)
-        return coefficients
+
+class SummedSeries(ExcitationSeries):
+    """:class:`SummedExcitation` over one time axis."""
+
+    def __init__(self, parts: Sequence[ExcitationSeries]):
+        self.parts = list(parts)
+
+    def sample(self, xi: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        total = self.parts[0].sample(xi, out)
+        for part in self.parts[1:]:
+            total += part.sample(xi)
+        return total
+
+    def pc_coefficients(self, basis) -> Dict[int, np.ndarray]:
+        combined: Dict[int, np.ndarray] = {}
+        for part in self.parts:
+            for index, table in part.pc_coefficients(basis).items():
+                if index in combined:
+                    combined[index] = combined[index] + table
+                else:
+                    combined[index] = np.array(table, copy=True)
+        return combined
 
 
 class SummedExcitation(StochasticExcitation):
@@ -275,21 +403,8 @@ class SummedExcitation(StochasticExcitation):
     def num_variables(self) -> int:
         return self.parts[0].num_variables
 
-    def sample(self, t: float, xi: np.ndarray) -> np.ndarray:
-        total = self.parts[0].sample(t, xi)
-        for part in self.parts[1:]:
-            total = total + part.sample(t, xi)
-        return total
-
-    def pc_coefficients(self, basis, t: float) -> Dict[int, np.ndarray]:
-        combined: Dict[int, np.ndarray] = {}
-        for part in self.parts:
-            for index, vector in part.pc_coefficients(basis, t).items():
-                if index in combined:
-                    combined[index] = combined[index] + vector
-                else:
-                    combined[index] = np.array(vector, copy=True)
-        return combined
+    def series(self, drains: DrainTables) -> SummedSeries:
+        return SummedSeries([part.series(drains) for part in self.parts])
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +496,6 @@ class StochasticSystem:
             capacitance = capacitance + float(xi[var]) * matrix
         return conductance.tocsr(), capacitance.tocsr()
 
-    def realize_rhs(self, xi: np.ndarray) -> Callable[[float], np.ndarray]:
-        """Return the deterministic excitation ``t -> U(t, xi)`` for one sample."""
-        xi = np.asarray(xi, dtype=float)
-        return lambda t: self.excitation.sample(t, xi)
-
-    def nominal_rhs(self) -> Callable[[float], np.ndarray]:
-        """Excitation with every germ at zero (the nominal design)."""
-        zero = np.zeros(self.num_variables)
-        return lambda t: self.excitation.sample(t, zero)
-
 
 # ---------------------------------------------------------------------------
 # Builder (paper Eq. (13)-(14))
@@ -413,7 +518,7 @@ def build_stochastic_system(
     variables: List[GermVariable] = []
     g_sens: Dict[int, sp.csr_matrix] = {}
     c_sens: Dict[int, sp.csr_matrix] = {}
-    rhs_sens: Dict[int, Callable[[float], np.ndarray]] = {}
+    rhs_sens: Dict[int, object] = {}
 
     if spec.pads_vary:
         g_varying = (stamped.g_wire + stamped.g_package).tocsr()
@@ -432,18 +537,18 @@ def build_stochastic_system(
             index = add_variable("xi_G")
             g_sens[index] = (spec.sigma_g * g_varying).tocsr()
             if spec.pads_vary:
-                rhs_sens[index] = _scaled_constant(spec.sigma_g * pad_varying)
+                rhs_sens[index] = ConstantSensitivity(spec.sigma_g * pad_varying)
         else:
             if spec.sigma_w > 0:
                 index = add_variable("xi_W")
                 g_sens[index] = (spec.sigma_w * g_varying).tocsr()
                 if spec.pads_vary:
-                    rhs_sens[index] = _scaled_constant(spec.sigma_w * pad_varying)
+                    rhs_sens[index] = ConstantSensitivity(spec.sigma_w * pad_varying)
             if spec.sigma_t > 0:
                 index = add_variable("xi_T")
                 g_sens[index] = (spec.sigma_t * g_varying).tocsr()
                 if spec.pads_vary:
-                    rhs_sens[index] = _scaled_constant(spec.sigma_t * pad_varying)
+                    rhs_sens[index] = ConstantSensitivity(spec.sigma_t * pad_varying)
 
     # --- channel length: gate capacitance and drain currents -----------------
     needs_leff = (spec.vary_capacitance or spec.vary_currents) and spec.sigma_l > 0
@@ -466,7 +571,7 @@ def build_stochastic_system(
         )
 
     excitation = AffineExcitation(
-        nominal=stamped.rhs,
+        nominal=NominalRhs(stamped),
         sensitivities=rhs_sens,
         num_variables=len(variables),
     )
@@ -481,8 +586,3 @@ def build_stochastic_system(
         vdd=stamped.vdd,
         node_names=stamped.node_names,
     )
-
-
-def _scaled_constant(vector: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Time-independent sensitivity vector as a (picklable) callable of time."""
-    return ConstantSensitivity(vector)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,7 +41,14 @@ from ..grid.elements import ResistorKind
 from ..grid.netlist import PowerGridNetlist
 from ..grid.stamping import StampedSystem, stamp
 from .correlation import correlation_from_distance, decorrelate_gaussian
-from .model import AffineExcitation, GermVariable, StochasticSystem
+from .model import (
+    AffineExcitation,
+    ConstantSensitivity,
+    DrainTables,
+    GermVariable,
+    NominalRhs,
+    StochasticSystem,
+)
 from .regions import RegionPartition
 
 __all__ = ["SpatialVariationSpec", "build_spatial_stochastic_system"]
@@ -213,28 +220,27 @@ def _region_gate_capacitances(
     ]
 
 
-def _region_current_functions(
-    netlist: PowerGridNetlist, partition: RegionPartition
-) -> List[Callable[[float], np.ndarray]]:
-    """Per-region drain-current vectors as functions of time."""
-    n = netlist.num_nodes
-    grouped: List[List[Tuple[int, Callable]]] = [[] for _ in range(partition.num_regions)]
-    for source in netlist.current_sources:
-        region = _region_of_node(partition, source.node)
-        if region is None:
-            continue
-        grouped[region].append((netlist.node_index(source.node), source.waveform))
+class RegionCurrentSensitivity:
+    """``t -> -sum_r scale * w_r * i_r(t)``: drain-current sensitivity of one
+    spatial Leff component, ``i_r`` being the drain currents of region ``r``.
 
-    def make(entries):
-        def current(t: float) -> np.ndarray:
-            vector = np.zeros(n)
-            for node, waveform in entries:
-                vector[node] += float(waveform(t))
-            return vector
+    Every source of a node lies in the node's region, so ``i_r`` is the
+    grid's drain-current table masked to the region's nodes.
+    """
 
-        return current
+    def __init__(self, stamped: StampedSystem, node_regions: np.ndarray, weights, scale: float):
+        self.stamped = stamped
+        self.node_regions = node_regions
+        self.weights = np.asarray(weights, dtype=float)
+        self.scale = float(scale)
 
-    return [make(entries) for entries in grouped]
+    def table(self, drains: DrainTables) -> np.ndarray:
+        currents = drains(self.stamped)
+        value = np.zeros_like(currents)
+        for region, weight in enumerate(self.weights):
+            if weight:
+                value -= self.scale * weight * np.where(self.node_regions == region, currents, 0.0)
+        return value
 
 
 def _spatial_germs(
@@ -287,7 +293,7 @@ def build_spatial_stochastic_system(
     variables: List[GermVariable] = []
     g_sens: Dict[int, sp.csr_matrix] = {}
     c_sens: Dict[int, sp.csr_matrix] = {}
-    rhs_sens: Dict[int, Callable[[float], np.ndarray]] = {}
+    rhs_sens: Dict[int, object] = {}
 
     if spec.vary_conductance and spec.sigma_g > 0:
         region_g, region_pads = _region_conductances(
@@ -306,11 +312,12 @@ def build_spatial_stochastic_system(
                 pad_vector = pad_vector + weight * region_pads[region]
             g_sens[index] = matrix.tocsr()
             if spec.pads_vary and np.any(pad_vector):
-                rhs_sens[index] = (lambda vector: (lambda t: vector))(pad_vector)
+                rhs_sens[index] = ConstantSensitivity(pad_vector)
 
     if spec.vary_channel_length and spec.sigma_l > 0:
         region_c = _region_gate_capacitances(netlist, partition, spec.gate_cap_fraction)
-        region_i = _region_current_functions(netlist, partition)
+        regions = [_region_of_node(partition, name) for name in stamped.node_names]
+        node_regions = np.array([-1 if region is None else region for region in regions])
         for component in range(num_components):
             index = len(variables)
             variables.append(GermVariable(name=f"xi_L_s{component}", family="hermite"))
@@ -321,26 +328,15 @@ def build_spatial_stochastic_system(
                     continue
                 matrix = matrix + weights[region] * region_c[region]
             c_sens[index] = matrix.tocsr()
-
-            def current_sensitivity(
-                t: float,
-                _weights=weights.copy(),
-                _currents=region_i,
-                _scale=spec.current_leff_sensitivity,
-            ) -> np.ndarray:
-                vector = np.zeros(stamped.num_nodes)
-                for region, weight in enumerate(_weights):
-                    if weight:
-                        vector -= _scale * weight * _currents[region](t)
-                return vector
-
-            rhs_sens[index] = current_sensitivity
+            rhs_sens[index] = RegionCurrentSensitivity(
+                stamped, node_regions, weights, spec.current_leff_sensitivity
+            )
 
     if not variables:
         raise VariationModelError("the spatial variation spec enables no random variables")
 
     excitation = AffineExcitation(
-        nominal=stamped.rhs, sensitivities=rhs_sens, num_variables=len(variables)
+        nominal=NominalRhs(stamped), sensitivities=rhs_sens, num_variables=len(variables)
     )
     return StochasticSystem(
         variables=tuple(variables),

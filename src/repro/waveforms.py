@@ -14,6 +14,12 @@ grid generator and by the transient simulator:
 
 All waveforms are callables mapping a scalar or ``numpy`` array of times to
 values of the same shape.
+
+:class:`WaveformTable` evaluates many waveforms over one time axis at once:
+it groups them by class and runs one vectorised kernel per group
+(``ClockedActivity`` and ``Constant``); any other class is evaluated as
+``w(times)`` per waveform.  ``ClockedActivity.__call__`` runs the same
+kernel on a group of one, so both paths share one formula.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "ClockedActivity",
     "Scaled",
     "Summed",
+    "WaveformTable",
     "as_waveform",
 ]
 
@@ -208,21 +215,123 @@ class ClockedActivity(Waveform):
             raise ValueError("need 0 < rise_fraction < duty_fraction <= 1")
         if len(self.activity) == 0:
             raise ValueError("activity must contain at least one factor")
+        # A group of one: __call__ runs the same kernel as a source table.
+        object.__setattr__(self, "_group", _ClockedActivityGroup((self,)))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        cycle = np.floor_divide(t, self.period).astype(int)
-        cycle = np.clip(cycle, 0, None)
-        activity = np.asarray(self.activity, dtype=float)
-        amp = self.peak * activity[np.mod(cycle, activity.size)]
-
-        tau = np.mod(t, self.period) / self.period
-        rise = self.rise_fraction
-        duty = self.duty_fraction
-        shape = np.zeros_like(tau)
-        rising = tau < rise
-        shape = np.where(rising, tau / rise, shape)
-        decaying = (tau >= rise) & (tau < duty)
-        shape = np.where(decaying, 1.0 - (tau - rise) / (duty - rise), shape)
-        out = np.where(t < 0, 0.0, amp * shape)
+        out = self._group(t.reshape(-1)).reshape(t.shape)
         return out if out.ndim else float(out)
+
+
+def _clocked_activity(t, period, peak, activity, length, rise, duty):
+    """The :class:`ClockedActivity` formula for a group of waveforms.
+
+    ``t`` is a ``(1, T)`` row of times; ``period``, ``peak``, ``length``,
+    ``rise`` and ``duty`` are ``(G, 1)`` columns, one row per waveform, and
+    ``activity`` is the ``(G, max cycles)`` activity table, padded past each
+    row's ``length``.  Returns the ``(G, T)`` values.
+    """
+    cycle = np.floor_divide(t, period).astype(int)
+    cycle = np.clip(cycle, 0, None)
+    rows = np.arange(activity.shape[0])[:, None]
+    amp = peak * activity[rows, np.mod(cycle, length)]
+
+    tau = np.mod(t, period) / period
+    shape = np.zeros_like(tau)
+    rising = tau < rise
+    shape = np.where(rising, tau / rise, shape)
+    decaying = (tau >= rise) & (tau < duty)
+    shape = np.where(decaying, 1.0 - (tau - rise) / (duty - rise), shape)
+    return np.where(t < 0, 0.0, amp * shape)
+
+
+class _ClockedActivityGroup:
+    """Struct-of-arrays parameters of many :class:`ClockedActivity` waveforms."""
+
+    def __init__(self, waveforms: Sequence[ClockedActivity]):
+        def column(name):
+            return np.array([getattr(w, name) for w in waveforms], dtype=float)[:, None]
+
+        self.period = column("period")
+        self.peak = column("peak")
+        self.rise = column("rise_fraction")
+        self.duty = column("duty_fraction")
+        lengths = [len(w.activity) for w in waveforms]
+        self.length = np.array(lengths)[:, None]
+        self.activity = np.zeros((len(waveforms), max(lengths)))
+        for row, waveform in enumerate(waveforms):
+            self.activity[row, : lengths[row]] = waveform.activity
+
+    def __call__(self, times: np.ndarray) -> np.ndarray:
+        return _clocked_activity(
+            times[None, :], self.period, self.peak, self.activity, self.length, self.rise, self.duty
+        )
+
+
+class _ConstantGroup:
+    """Many :class:`Constant` waveforms: one broadcast of their values."""
+
+    def __init__(self, waveforms: Sequence[Constant]):
+        self.values = np.array([w.value for w in waveforms], dtype=float)[:, None]
+
+    def __call__(self, times: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.values, (self.values.shape[0], times.size))
+
+
+class _EachWaveform:
+    """Waveforms without a group kernel, evaluated as ``w(times)`` one by one."""
+
+    def __init__(self, waveforms: Sequence[Waveform]):
+        self.waveforms = tuple(waveforms)
+
+    def __call__(self, times: np.ndarray) -> np.ndarray:
+        out = np.empty((len(self.waveforms), times.size))
+        for row, waveform in enumerate(self.waveforms):
+            out[row] = np.asarray(waveform(times), dtype=float)
+        return out
+
+
+#: Group kernels by *exact* class: a subclass may override ``__call__``, so
+#: it is evaluated one by one like every class without a kernel.
+_GROUP_KERNELS = {ClockedActivity: _ClockedActivityGroup, Constant: _ConstantGroup}
+
+
+class WaveformTable:
+    """Many waveforms evaluated over a time axis in one pass per class.
+
+    Built once from a sequence of waveforms; calling it with ``times``
+    returns the ``(len(waveforms), len(times))`` values, row ``s`` being
+    ``waveforms[s](times)``.  Each value equals the scalar ``float(w(t))``
+    bit for bit.  A waveform object shared by several entries (a block's
+    waveform drives every node of the block) is evaluated once and its row
+    copied.  The table holds plain arrays and waveforms, so it pickles.
+    """
+
+    def __init__(self, waveforms: Sequence[Waveform]):
+        positions = {}
+        distinct = []
+        index = []
+        for waveform in waveforms:
+            if id(waveform) not in positions:
+                positions[id(waveform)] = len(distinct)
+                distinct.append(waveform)
+            index.append(positions[id(waveform)])
+        #: Row of each entry in the table of distinct waveforms.
+        self.index = np.array(index, dtype=int)
+        members = {}
+        for row, waveform in enumerate(distinct):
+            kernel = _GROUP_KERNELS.get(type(waveform), _EachWaveform)
+            members.setdefault(kernel, []).append(row)
+        self.num_distinct = len(distinct)
+        self.groups = tuple(
+            (np.array(rows), kernel([distinct[row] for row in rows]))
+            for kernel, rows in members.items()
+        )
+
+    def __call__(self, times) -> np.ndarray:
+        times = np.asarray(times, dtype=float).reshape(-1)
+        values = np.empty((self.num_distinct, times.size))
+        for rows, group in self.groups:
+            values[rows] = group(times)
+        return values[self.index]

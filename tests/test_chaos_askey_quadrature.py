@@ -162,6 +162,11 @@ class TestJacobi:
             numeric = np.sum(weights * jacobi_value(k, nodes, alpha, beta) ** 2)
             assert numeric == pytest.approx(jacobi_norm_squared(k, alpha, beta), rel=1e-8)
 
+    def test_order_zero_norm_is_one_at_removable_singularity(self):
+        # 2k + alpha + beta + 1 = 0 at order 0: the closed form hits log(0)
+        # and lgamma(0), but P_0 = 1 has norm exactly 1 under the measure.
+        assert jacobi_norm_squared(0, -0.5, -0.5) == 1.0
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(BasisError):
             jacobi_value(2, 0.0, -2.0, 0.0)

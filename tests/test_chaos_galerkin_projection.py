@@ -171,7 +171,7 @@ class TestGalerkinSystemSolution:
             basis=basis2x2,
             conductance_coefficients={0: A0},
             capacitance_coefficients={0: C0},
-            excitation_coefficients=lambda t: {0: np.array([t, 0.0])},
+            excitation_series=lambda times: {0: np.column_stack([times, np.zeros_like(times)])},
             num_nodes=2,
         )
         assert system.size == basis2x2.size * 2

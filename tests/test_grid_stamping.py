@@ -51,12 +51,21 @@ class TestManualLadder:
         rhs = stamped.rhs(0.0)
         assert rhs[i3] == pytest.approx(-(0.01 + 0.001))
 
-    def test_drain_current_matrix_matches_vector(self, manual_netlist):
+    @pytest.mark.parametrize("include_leakage", [True, False])
+    def test_drain_current_matrix_matches_vector(self, manual_netlist, include_leakage):
         stamped = stamp(manual_netlist)
-        times = [0.0, 1e-9, 2e-9]
-        matrix = stamped.drain_current_matrix(times)
+        times = [-1e-9, 0.0, 1e-9, 2e-9]
+        matrix = stamped.drain_current_matrix(times, include_leakage=include_leakage)
         for row, t in zip(matrix, times):
-            np.testing.assert_allclose(row, stamped.drain_current_vector(t))
+            # The scalar per-source sum the table evaluator replaces, bit for bit.
+            reference = np.zeros(stamped.num_nodes)
+            for node, waveform, leak in zip(
+                stamped.source_nodes, stamped.source_waveforms, stamped.source_is_leakage
+            ):
+                if include_leakage or not leak:
+                    reference[node] += float(waveform(t))
+            vector = stamped.drain_current_vector(t, include_leakage=include_leakage)
+            assert row.tobytes() == reference.tobytes() == vector.tobytes()
 
     def test_leakage_exclusion(self, manual_netlist):
         stamped = stamp(manual_netlist)
