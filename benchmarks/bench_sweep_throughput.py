@@ -4,12 +4,13 @@ Runs one corner sweep -- the three RHS-only corners x (``opera``,
 ``decoupled``, ``deterministic``) -- on the largest bench grid twice, through
 the plain per-case runner and through the topology-batched scheduler
 (``SweepRunner(batch=True)``), and records cases/second for both.  The
-batched pass shares everything the topology determines: one symbolic
-analysis, one numeric LU, one stacked multi-RHS march covering every
-distinct stackable scenario and one deduplicated march for the
-corner-independent deterministic cases.  Every batched case's statistics
-are asserted **bit-identical** to its unbatched twin before the artifact is
-written -- the speedup is real only if the numbers are the same bytes.
+batched pass shares everything the topology determines: one LU of the
+nominal step matrix (each LU is a plain ``splu`` with its own symbolic
+analysis), one stacked multi-RHS march covering every distinct stackable
+scenario and one deduplicated march for the corner-independent
+deterministic cases.  Every batched case's statistics are asserted
+**bit-identical** to its unbatched twin before the artifact is written --
+the speedup is real only if the numbers are the same bytes.
 
 Each mode is measured twice, from the same cold start:
 
@@ -24,10 +25,11 @@ Each mode is measured twice, from the same cold start:
   only the grid resources (netlist, stamped matrices, factorisations) stay
   warm -- equally for both modes.
 
-A final, untimed batched pass runs with telemetry to capture the scheduler
-counters (``symbolic_reuse``/``numeric_refactor``/``batched_cases``), and a
-pooled unbatched pass (two workers) captures ``shm_bytes`` from the
-shared-memory result transfer.
+Each mode's ``factorization`` field is :func:`factorization_counters` after
+its passes: ``symbolic_analysis`` counts the LUs built (the reuse counters
+are always 0).  A final, untimed batched pass runs with telemetry to capture
+the scheduler counter ``batched_cases``, and a pooled unbatched pass (two
+workers) captures ``shm_bytes`` from the shared-memory result transfer.
 
 The artifact lands at the repo root as ``BENCH_sweep_throughput.json``.
 Scale comes from the shared ``OPERA_BENCH_*`` environment variables::
@@ -45,11 +47,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.sim.linear import (
-    clear_pattern_cache,
-    factorization_counters,
-    reset_factorization_counters,
-)
+from repro.sim.linear import factorization_counters, reset_factorization_counters
 from repro.sweep import SweepPlan, SweepRunner
 from repro.sweep.record import _environment
 from repro.sweep.runner import _WORKER_SESSIONS
@@ -82,7 +80,6 @@ def build_plan(nodes: int) -> SweepPlan:
 def _cold_caches() -> None:
     """Drop every cross-run cache so each timed pass starts cold."""
     _WORKER_SESSIONS.clear()
-    clear_pattern_cache()
     reset_factorization_counters()
 
 

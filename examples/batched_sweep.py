@@ -4,9 +4,9 @@ A corner sweep runs many scenarios on the *same* grid.  With
 ``SweepRunner(batch=True)`` the plan is regrouped by grid topology and each
 group executes through the batched scheduler
 (:class:`~repro.sweep.BatchedCaseRunner`), which deduplicates everything
-the topology determines: one symbolic analysis and one numeric LU per
-distinct step-matrix sparsity pattern, one stacked multi-RHS march for all
-RHS-only ``opera``/``decoupled`` cases, and one run per distinct scenario
+the topology determines: identical step matrices share one LU through the
+session's content-fingerprint solver cache, one stacked multi-RHS march for
+all RHS-only ``opera``/``decoupled`` cases, and one run per distinct scenario
 (``deterministic`` corners replicate, ``opera``/``decoupled`` twins share a
 trajectory).
 

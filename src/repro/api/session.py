@@ -25,8 +25,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional, Sequence, Union
 
-import scipy.sparse as sp
-
 from ..chaos.basis import PolynomialChaosBasis
 from ..chaos.galerkin import GalerkinSystem
 from ..errors import AnalysisError
@@ -36,7 +34,7 @@ from ..grid.spice_io import read_spice
 from ..grid.stamping import StampedSystem, stamp
 from ..opera.report import OperaReport
 from ..opera.report import summarize as _summarize_report
-from ..sim.linear import LinearSolver, make_solver, matrix_fingerprint, sparsity_fingerprint
+from ..sim.linear import LinearSolver, make_solver, matrix_fingerprint
 from ..sim.results import TransientResult
 from ..sim.transient import TransientConfig, transient_analysis
 from ..telemetry import current_telemetry
@@ -97,11 +95,6 @@ class Analysis:
         self._stats: Dict[str, Dict[str, int]] = {
             key: {"hits": 0, "misses": 0} for key in self._CACHE_NAMES
         }
-        # Sparsity-pattern index over the solver cache: maps
-        # (pattern fingerprint, method, options) to the cache key of the most
-        # recent solver built for that pattern, so a new corner's matrix can
-        # be numerically refactored (Solver.refactor) instead of re-analysed.
-        self._pattern_index: Dict[Any, Any] = {}
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -229,30 +222,10 @@ class Analysis:
         cache = self._caches["solver"]
         if key not in cache:
             self._stats["solver"]["misses"] += 1
-            cache[key] = self._build_solver(matrix, key, method, options)
+            cache[key] = make_solver(matrix, method=method, **options)
         else:
             self._stats["solver"]["hits"] += 1
         return cache[key]
-
-    def _build_solver(self, matrix, key, method, options) -> LinearSolver:
-        """Build a solver, refactoring a cached same-pattern sibling if any.
-
-        When the cache already holds a solver for the same sparsity pattern
-        (same topology, different corner values) and that solver supports
-        numeric refactorisation, the symbolic analysis is reused through
-        ``sibling.refactor(matrix)`` -- bit-identical to a cold build.
-        """
-        built = None
-        if sp.issparse(matrix):
-            pattern_key = (sparsity_fingerprint(matrix), key[1], key[2])
-            sibling = self._caches["solver"].get(self._pattern_index.get(pattern_key))
-            refactor = getattr(sibling, "refactor", None)
-            if callable(refactor):
-                built = refactor(matrix)
-            self._pattern_index[pattern_key] = key
-        if built is None:
-            built = make_solver(matrix, method=method, **options)
-        return built
 
     def galerkin(self, order: int) -> GalerkinSystem:
         """The augmented (Galerkin) system for ``order`` (cached).

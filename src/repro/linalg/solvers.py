@@ -39,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..errors import SolverError
-from ..sim.linear import PreconditionedCGSolver, canonical_csc, register_solver
+from ..sim.linear import PreconditionedCGSolver, register_solver
 from ..telemetry import current_telemetry
 from .operator import KronSumOperator, is_operator, kron_sum_csr
 
@@ -123,7 +123,7 @@ class MeanBlockCGSolver(PreconditionedCGSolver):
         self.rtol = float(rtol)
         self.maxiter = int(maxiter)
 
-        mean_block = canonical_csc(mean_block)
+        mean_block = sp.csc_matrix(mean_block)
         if mean_block.shape != (self.num_nodes, self.num_nodes):
             raise SolverError(
                 f"mean block has shape {mean_block.shape}, expected "
@@ -278,7 +278,7 @@ class DegreeBlockCGSolver(PreconditionedCGSolver):
             for start, stop in _degree_bands(degrees, band_degrees):
                 block = self._band_matrix(start, stop)
                 try:
-                    lu = spla.splu(canonical_csc(block))
+                    lu = spla.splu(sp.csc_matrix(block))
                 except RuntimeError as exc:  # singular band block
                     raise SolverError(
                         f"degree-band LU factorisation failed for chaos indices "

@@ -302,18 +302,29 @@ def _transient_chunk_job(args):
     return moments.state() + (waveforms,)
 
 
+def _accumulate_dc_chunk(
+    system: StochasticSystem, t: float, germs: np.ndarray, solver: str
+) -> RunningMoments:
+    """One DC solve per germ; Welford moments of the node voltages.
+
+    The excitation is evaluated at ``t`` once; each sample's right-hand
+    side is then a fill of one reused buffer.
+    """
+    moments = RunningMoments()
+    excitation = system.excitation.over([t])
+    rhs = np.empty((1, system.num_nodes))
+    for xi in germs:
+        conductance, _ = system.realize_matrices(xi)
+        moments.update(solve_dc(conductance, excitation.sample(xi, rhs)[0], solver=solver))
+    return moments
+
+
 def _dc_chunk_job(args):
     """Worker entry point of a chunked DC sweep (module-level for pickling)."""
     t, chunk_seed, chunk_samples, solver = args
     system = _CHUNK_SYSTEM
-    sampler = GermSampler(system, seed=chunk_seed)
-    germs = sampler.sample(chunk_samples)
-    moments = RunningMoments()
-    for xi in germs:
-        conductance, _ = system.realize_matrices(xi)
-        voltages = solve_dc(conductance, system.excitation.sample(t, xi), solver=solver)
-        moments.update(voltages)
-    return moments.state()
+    germs = GermSampler(system, seed=chunk_seed).sample(chunk_samples)
+    return _accumulate_dc_chunk(system, t, germs, solver).state()
 
 
 def _system_ships_to_workers(system: StochasticSystem) -> bool:
@@ -452,13 +463,8 @@ def run_monte_carlo_dc(
         for state in outcomes:
             moments.merge(RunningMoments.from_state(*state))
     else:
-        sampler = GermSampler(system, seed=seed)
-        germs = sampler.sample(num_samples)
-        moments = RunningMoments()
-        for xi in germs:
-            conductance, _ = system.realize_matrices(xi)
-            voltages = solve_dc(conductance, system.excitation.sample(t, xi), solver=solver)
-            moments.update(voltages)
+        germs = GermSampler(system, seed=seed).sample(num_samples)
+        moments = _accumulate_dc_chunk(system, t, germs, solver)
     elapsed = time.perf_counter() - started
     return MonteCarloDCResult(
         mean_voltage=moments.mean,

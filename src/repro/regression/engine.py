@@ -151,9 +151,11 @@ def _dc_sample_job(args):
     sampler = GermSampler(system, seed=chunk_seed)
     germs = sampler.sample(chunk_samples)
     voltages = np.empty((chunk_samples, system.num_nodes))
+    excitation = system.excitation.over([t])
+    rhs = np.empty((1, system.num_nodes))
     for i, xi in enumerate(germs):
         conductance, _ = system.realize_matrices(xi)
-        voltages[i] = solve_dc(conductance, system.excitation.sample(t, xi), solver=solver)
+        voltages[i] = solve_dc(conductance, excitation.sample(xi, rhs)[0], solver=solver)
     return germs, voltages
 
 

@@ -1,10 +1,13 @@
 """Sparse linear solver wrappers used by the DC, transient and OPERA engines.
 
 Power-grid conductance matrices are symmetric, positive definite and very
-sparse, so the default solver is a cached sparse LU factorisation (SuperLU via
+sparse, so the default solver is a sparse LU factorisation (SuperLU via
 ``scipy.sparse.linalg.splu``), which matches the "single factorisation,
 repeated solves" usage pattern of both the transient integrator and the
-special-case analysis of Section 5.1 of the paper.  Conjugate-gradient
+special-case analysis of Section 5.1 of the paper.  Every LU is a plain
+``splu(sp.csc_matrix(A))``; identical step matrices share one LU through
+the session's content-fingerprint solver cache
+(:meth:`repro.api.Analysis.solver`).  Conjugate-gradient
 solvers with Jacobi or ILU preconditioning are provided for large systems
 where factorisation memory is a concern (the iterative-solver route the
 paper mentions in its implementation notes).
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import abc
 import hashlib
-from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
@@ -42,12 +44,8 @@ __all__ = [
     "solver_factory",
     "solver_accepts_operator",
     "matrix_fingerprint",
-    "sparsity_fingerprint",
-    "canonical_csc",
     "factorization_counters",
     "reset_factorization_counters",
-    "clear_pattern_cache",
-    "set_pattern_cache_limit",
 ]
 
 
@@ -63,152 +61,27 @@ def _is_lazy_operator(obj) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic / numeric factorisation split
+# Factorisation counters
 # ---------------------------------------------------------------------------
-#
-# Corner sweeps factorise many matrices that share one sparsity pattern (the
-# same grid topology stamped with different parameter values).  The symbolic
-# part of the CSR -> CSC canonicalisation -- where each nonzero lands in the
-# column-ordered layout SuperLU consumes -- depends only on the pattern, so it
-# is cached process-wide, keyed by a values-free pattern fingerprint.  The
-# numeric "refactorisation" for a new corner is then a single value gather
-# plus the usual ``splu`` call on the *identical* canonical structure, which
-# keeps the factors (and every downstream trajectory) bit-for-bit equal to
-# the uncached path.
-
 _FACTOR_COUNTERS = {"symbolic_analysis": 0, "symbolic_reuse": 0, "numeric_refactor": 0}
 
 
 def factorization_counters() -> dict:
     """Snapshot of the process-wide factorisation counters.
 
-    ``symbolic_analysis`` counts first-time sparsity-pattern analyses,
-    ``symbolic_reuse`` counts factorisations that reused a cached pattern,
-    and ``numeric_refactor`` counts :meth:`DirectSolver.refactor` calls
-    (value-only refactorisations).  The same names are emitted as telemetry
-    counters when tracing is enabled.  ``pattern_cache_entries`` /
-    ``pattern_cache_limit`` report the occupancy and LRU bound of the
-    process-wide sparsity-pattern cache those counters describe (see
-    :func:`set_pattern_cache_limit`).
+    ``symbolic_analysis`` counts :class:`DirectSolver` factorisations; each
+    ``splu`` call runs its own ordering and symbolic analysis.
+    ``symbolic_reuse`` and ``numeric_refactor`` are always 0, because no
+    symbolic analysis is ever reused; they are kept so readers of the
+    historical counter names keep working.
     """
-    snapshot = dict(_FACTOR_COUNTERS)
-    snapshot["pattern_cache_entries"] = len(_PATTERN_CACHE)
-    snapshot["pattern_cache_limit"] = _PATTERN_CACHE_SIZE
-    return snapshot
+    return dict(_FACTOR_COUNTERS)
 
 
 def reset_factorization_counters() -> None:
     """Zero the factorisation counters (test/bench isolation)."""
     for name in _FACTOR_COUNTERS:
         _FACTOR_COUNTERS[name] = 0
-
-
-def clear_pattern_cache() -> None:
-    """Drop all cached sparsity patterns (test/bench isolation)."""
-    _PATTERN_CACHE.clear()
-
-
-def set_pattern_cache_limit(limit: int) -> int:
-    """Set the LRU bound of the process-wide sparsity-pattern cache.
-
-    Mirrors the session cache's ``max_grids`` knob: long multi-topology
-    campaigns can widen (or tighten) the bound to match how many distinct
-    patterns are live at once.  Evicts immediately if the new limit is
-    below the current occupancy; returns the previous limit.
-    """
-    global _PATTERN_CACHE_SIZE
-    limit = int(limit)
-    if limit < 1:
-        raise SolverError(f"pattern cache limit must be at least 1, got {limit}")
-    previous = _PATTERN_CACHE_SIZE
-    _PATTERN_CACHE_SIZE = limit
-    while len(_PATTERN_CACHE) > _PATTERN_CACHE_SIZE:
-        _PATTERN_CACHE.popitem(last=False)
-    return previous
-
-
-def sparsity_fingerprint(matrix) -> str:
-    """Values-free pattern hash: shape + CSR structure, no data.
-
-    Two matrices get the same fingerprint exactly when they have identical
-    shape and an identical nonzero layout (same ``indptr``/``indices`` in CSR
-    form), i.e. when a factorisation of one can reuse the symbolic analysis
-    of the other.  Lazy operators with their own content ``fingerprint``
-    delegate to it (their pattern is implied by their content identity).
-    """
-    own = getattr(matrix, "fingerprint", None)
-    if callable(own):
-        return own()
-    matrix = sp.csr_matrix(matrix)
-    digest = hashlib.sha1()
-    digest.update(repr(matrix.shape).encode())
-    digest.update(matrix.indptr.tobytes())
-    digest.update(matrix.indices.tobytes())
-    return digest.hexdigest()
-
-
-class _SparsityPattern:
-    """Cached symbolic analysis of one CSR sparsity pattern.
-
-    Holds the canonical CSC structure and the CSR-data -> CSC-data gather
-    permutation, computed once by converting an index-tagged structural
-    clone.  ``csc_from`` then rebuilds ``sp.csc_matrix(csr)`` for any
-    same-pattern matrix without re-running the structural conversion, with
-    bitwise-identical data layout (the conversion's placement depends only
-    on the structure, never on the values).
-    """
-
-    __slots__ = ("shape", "csc_indices", "csc_indptr", "gather")
-
-    def __init__(self, csr: sp.csr_matrix):
-        tagged = sp.csr_matrix(
-            (np.arange(csr.nnz, dtype=np.intp), csr.indices, csr.indptr), shape=csr.shape
-        )
-        csc = tagged.tocsc()
-        self.shape = csr.shape
-        self.csc_indices = csc.indices
-        self.csc_indptr = csc.indptr
-        self.gather = csc.data
-
-    def csc_from(self, csr: sp.csr_matrix) -> sp.csc_matrix:
-        return sp.csc_matrix(
-            (csr.data[self.gather], self.csc_indices, self.csc_indptr), shape=self.shape
-        )
-
-
-_PATTERN_CACHE: "OrderedDict[str, _SparsityPattern]" = OrderedDict()
-_PATTERN_CACHE_SIZE = 32
-
-
-def _pattern_for(csr: sp.csr_matrix) -> _SparsityPattern:
-    key = sparsity_fingerprint(csr)
-    pattern = _PATTERN_CACHE.get(key)
-    if pattern is not None:
-        _PATTERN_CACHE.move_to_end(key)
-        _FACTOR_COUNTERS["symbolic_reuse"] += 1
-        current_telemetry().count("symbolic_reuse")
-        return pattern
-    pattern = _SparsityPattern(csr)
-    _PATTERN_CACHE[key] = pattern
-    while len(_PATTERN_CACHE) > _PATTERN_CACHE_SIZE:
-        _PATTERN_CACHE.popitem(last=False)
-    _FACTOR_COUNTERS["symbolic_analysis"] += 1
-    return pattern
-
-
-def canonical_csc(matrix) -> sp.csc_matrix:
-    """``sp.csc_matrix(matrix)``, with symbolic-analysis reuse for CSR input.
-
-    The returned matrix is bitwise identical (structure and data ordering)
-    to a plain ``sp.csc_matrix(matrix)`` conversion; CSR inputs whose
-    sparsity pattern was seen before skip the structural analysis and pay
-    only a value gather.  This is the single funnel every LU build in the
-    library goes through (:class:`DirectSolver` and the block-preconditioner
-    factorisations of :mod:`repro.linalg.solvers`).
-    """
-    if sp.issparse(matrix) and matrix.format == "csr":
-        return _pattern_for(matrix).csc_from(matrix)
-    return sp.csc_matrix(matrix)
 
 
 class LinearSolver(abc.ABC):
@@ -245,7 +118,7 @@ class DirectSolver(LinearSolver):
         return solution
 
     def __init__(self, matrix: sp.spmatrix):
-        matrix = canonical_csc(matrix)
+        matrix = sp.csc_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise SolverError("direct solver requires a square matrix")
         try:
@@ -253,24 +126,8 @@ class DirectSolver(LinearSolver):
                 self._lu = spla.splu(matrix)
         except RuntimeError as exc:  # singular matrix
             raise SolverError(f"LU factorisation failed: {exc}") from exc
+        _FACTOR_COUNTERS["symbolic_analysis"] += 1
         self.shape = matrix.shape
-
-    def refactor(self, matrix: sp.spmatrix) -> "DirectSolver":
-        """A new solver for a same-pattern matrix with different values.
-
-        Numeric refactorisation: the symbolic CSR -> CSC analysis is served
-        from the process-wide pattern cache, so only the value gather and
-        the LU factorisation itself are paid.  The result is bitwise
-        identical to ``DirectSolver(matrix)`` (a pattern that happens not to
-        match simply falls back to a fresh symbolic analysis).
-        """
-        if sp.issparse(matrix) and matrix.shape != self.shape:
-            raise SolverError(
-                f"refactor expects a matrix of shape {self.shape}, got {matrix.shape}"
-            )
-        _FACTOR_COUNTERS["numeric_refactor"] += 1
-        current_telemetry().count("numeric_refactor")
-        return DirectSolver(matrix)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

@@ -8,9 +8,9 @@ topology determines:
 
 * the generated netlist and stamped MNA system (one per grid, shared across
   the group's corner sessions via the runner's session cache);
-* LU work: the group's sessions hit the process-wide symbolic-analysis cache
-  (:func:`repro.sim.linear.canonical_csc`), so structurally identical step
-  matrices across corners pay only numeric refactorisation;
+* LU work: identical step matrices share one LU through the session's
+  content-fingerprint solver cache (:meth:`repro.api.Analysis.solver`), and
+  a stacked march factorises its nominal step matrix once for the group;
 * the transient march itself, for cases that block-diagonalise: RHS-only
   ``opera``/``decoupled`` cases on the group's topology stack their active
   chaos tracks into one multi-RHS :class:`~repro.stepping.StepLoop` run

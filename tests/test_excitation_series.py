@@ -14,11 +14,19 @@ from repro import telemetry
 from repro.chaos.basis import PolynomialChaosBasis
 from repro.grid.netlist import PowerGridNetlist
 from repro.grid.stamping import StampedSystem, stamp
-from repro.montecarlo.engine import MonteCarloConfig, run_monte_carlo_transient
+from repro.montecarlo import engine as mc_engine
+from repro.montecarlo.engine import (
+    MonteCarloConfig,
+    run_monte_carlo_dc,
+    run_monte_carlo_transient,
+)
 from repro.montecarlo.sampler import GermSampler
 from repro.montecarlo.statistics import RunningMoments
 from repro.opera.config import OperaConfig
 from repro.opera.engine import run_opera_transient
+from repro.regression import engine as regression_engine
+from repro.regression.engine import run_regression_dc
+from repro.sim.dc import solve_dc
 from repro.sim.transient import run_transient
 from repro.variation.model import (
     AffineExcitation,
@@ -282,6 +290,50 @@ class TestConsumers:
             moments.update(run.voltages)
         assert result.mean_voltage.tobytes() == moments.mean.tobytes()
         assert result.variance.tobytes() == moments.variance(ddof=1).tobytes()
+
+    @pytest.mark.parametrize("chunk_size", [None, 4])
+    def test_monte_carlo_dc_matches_per_time_sample_loop(
+        self, small_system, small_leakage_system, chunk_size
+    ):
+        t = 0.3e-9
+        for system in (small_system, small_leakage_system):
+            result = run_monte_carlo_dc(system, num_samples=10, t=t, seed=6, chunk_size=chunk_size)
+            if chunk_size is None:
+                chunks = [(6, 10)]
+            else:
+                chunks = list(zip(np.random.SeedSequence(6).spawn(3), (4, 4, 2)))
+            moments = RunningMoments()
+            for chunk_seed, size in chunks:
+                chunk = RunningMoments()
+                for xi in GermSampler(system, seed=chunk_seed).sample(size):
+                    conductance, _ = system.realize_matrices(xi)
+                    chunk.update(solve_dc(conductance, system.excitation.sample(t, xi)))
+                moments.merge(chunk)
+            assert result.mean_voltage.tobytes() == moments.mean.tobytes()
+            assert result.variance.tobytes() == moments.variance(ddof=1).tobytes()
+
+    def test_regression_dc_matches_per_time_sample_loop(self, small_system, monkeypatch):
+        def reference_job(args):
+            t, chunk_seed, chunk_samples, solver = args
+            system = mc_engine._CHUNK_SYSTEM
+            germs = GermSampler(system, seed=chunk_seed).sample(chunk_samples)
+            voltages = np.empty((chunk_samples, system.num_nodes))
+            for i, xi in enumerate(germs):
+                conductance, _ = system.realize_matrices(xi)
+                voltages[i] = solve_dc(
+                    conductance, system.excitation.sample(t, xi), solver=solver
+                )
+            return germs, voltages
+
+        def run():
+            return run_regression_dc(
+                small_system, order=2, t=0.3e-9, samples=24, seed=2, chunk_size=10
+            )
+
+        field = run()
+        monkeypatch.setattr(regression_engine, "_dc_sample_job", reference_job)
+        reference = run()
+        assert field.coefficients.tobytes() == reference.coefficients.tobytes()
 
     def test_monte_carlo_two_workers_match_one(self, small_system, fast_transient):
         def run(workers):

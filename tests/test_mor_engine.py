@@ -4,9 +4,8 @@ Covers: accuracy against the exact ``hierarchical`` engine, the reduced
 block-operator algebra and its dense block solver, scheme-registry
 compatibility of the adapter, session macromodel caching across runs and
 corners (with the ``covers`` reuse guard), the sweep ``mor_order``
-append-only identity conventions, the sparsity-pattern cache exposure in
-``factorization_counters``, and the no-orphaned-workers guarantee of a
-raising partitioned march.
+append-only identity conventions, and the no-orphaned-workers guarantee of
+a raising partitioned march.
 """
 
 from __future__ import annotations
@@ -348,45 +347,6 @@ class TestSweepMorOrder:
         )
         assert result.key()[-1] == 3
         assert result.to_record()["mor_order"] == 3
-
-
-class TestPatternCacheExposure:
-    def test_counters_report_cache_occupancy(self):
-        from repro.sim.linear import (
-            clear_pattern_cache,
-            factorization_counters,
-            make_solver,
-        )
-
-        clear_pattern_cache()
-        before = factorization_counters()
-        assert before["pattern_cache_entries"] == 0
-        assert before["pattern_cache_limit"] >= 1
-        make_solver(sp.identity(8, format="csr") * 2.0)
-        assert factorization_counters()["pattern_cache_entries"] == 1
-
-    def test_limit_setter_evicts_and_restores(self):
-        from repro.sim.linear import (
-            clear_pattern_cache,
-            factorization_counters,
-            make_solver,
-            set_pattern_cache_limit,
-        )
-
-        clear_pattern_cache()
-        for size in (5, 6, 7):
-            make_solver(sp.identity(size, format="csr") * 3.0)
-        assert factorization_counters()["pattern_cache_entries"] == 3
-        previous = set_pattern_cache_limit(2)
-        try:
-            counters = factorization_counters()
-            assert counters["pattern_cache_entries"] == 2
-            assert counters["pattern_cache_limit"] == 2
-            with pytest.raises(SolverError):
-                set_pattern_cache_limit(0)
-        finally:
-            set_pattern_cache_limit(previous)
-        assert factorization_counters()["pattern_cache_limit"] == previous
 
 
 def _pooled_schur_adapter(session):

@@ -5,7 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from repro.errors import ConvergenceError, SolverError
-from repro.sim.linear import ConjugateGradientSolver, DirectSolver, make_solver
+from repro.sim.linear import (
+    ConjugateGradientSolver,
+    DirectSolver,
+    factorization_counters,
+    make_solver,
+    reset_factorization_counters,
+)
 
 
 def laplacian_spd(n: int) -> sp.csr_matrix:
@@ -50,6 +56,39 @@ class TestDirectSolver:
         for _ in range(3):
             b = np.random.default_rng(1).normal(size=30)
             np.testing.assert_allclose(A @ solver.solve(b), b, atol=1e-10)
+
+
+class TestDirectSolverFunnel:
+    """Every LU is ``splu(sp.csc_matrix(A))``, whatever form ``A`` arrives in."""
+
+    @staticmethod
+    def _matrix(seed: int) -> sp.csr_matrix:
+        base = sp.random(40, 40, density=0.12, random_state=np.random.default_rng(7), format="csr")
+        matrix = (base + 0.5 * base.T + 80.0 * sp.eye(40)).tocsr()
+        matrix.data = matrix.data * np.random.default_rng(seed).uniform(0.5, 1.5, matrix.nnz)
+        return matrix
+
+    def test_input_format_does_not_change_results(self):
+        csr = self._matrix(1)
+        forms = [csr, csr.tocsc(), csr.tocoo(), csr.toarray()]
+        rng = np.random.default_rng(0)
+        rhs = rng.normal(size=40)
+        block = rng.normal(size=(40, 3))
+        reference = DirectSolver(csr)
+        for form in forms[1:]:
+            solver = DirectSolver(form)
+            assert solver.solve(rhs).tobytes() == reference.solve(rhs).tobytes()
+            assert solver.solve_many(block).tobytes() == reference.solve_many(block).tobytes()
+
+    def test_counters_count_every_factorisation(self):
+        first, second = self._matrix(1), self._matrix(2)
+        assert np.array_equal(first.indices, second.indices)
+        assert np.array_equal(first.indptr, second.indptr)
+        reset_factorization_counters()
+        DirectSolver(first)
+        DirectSolver(second)
+        counters = factorization_counters()
+        assert counters == {"symbolic_analysis": 2, "symbolic_reuse": 0, "numeric_refactor": 0}
 
 
 class TestConjugateGradientSolver:

@@ -1,5 +1,5 @@
-"""Tests for batched sweep scheduling: topology groups, stacked marches,
-the symbolic/numeric factorisation split, and shared-memory result transfer."""
+"""Tests for batched sweep scheduling: topology groups, stacked marches and
+shared-memory result transfer."""
 
 from __future__ import annotations
 
@@ -12,14 +12,7 @@ import scipy.sparse as sp
 
 from repro.errors import SolverError
 from repro.sim import TransientConfig
-from repro.sim.linear import (
-    DirectSolver,
-    canonical_csc,
-    clear_pattern_cache,
-    factorization_counters,
-    reset_factorization_counters,
-    sparsity_fingerprint,
-)
+from repro.sim.linear import DirectSolver
 from repro.stepping.adapters import BlockDiagonalSolver
 from repro.sweep import (
     ShardedNpzBackend,
@@ -220,50 +213,6 @@ class TestSessionCacheLru:
         assert second is not first
         assert second.netlist is first.netlist
         assert second.stamped is first.stamped
-
-
-class TestSymbolicNumericSplit:
-    def _matrix(self, seed: int) -> sp.csr_matrix:
-        rng = np.random.default_rng(7)
-        base = sp.random(40, 40, density=0.12, random_state=rng, format="csr")
-        matrix = (base + base.T + 80.0 * sp.eye(40)).tocsr()
-        matrix.data = matrix.data * np.random.default_rng(seed).uniform(0.5, 1.5, matrix.nnz)
-        return matrix
-
-    def test_fingerprint_is_values_free(self):
-        a, b = self._matrix(1), self._matrix(2)
-        assert sparsity_fingerprint(a) == sparsity_fingerprint(b)
-        assert a.data.tobytes() != b.data.tobytes()
-
-    def test_canonical_csc_bitwise_matches_plain_conversion(self):
-        clear_pattern_cache()
-        for seed in (1, 2, 3):
-            matrix = self._matrix(seed)
-            cached = canonical_csc(matrix)
-            plain = sp.csc_matrix(matrix)
-            assert cached.data.tobytes() == plain.data.tobytes()
-            assert np.array_equal(cached.indices, plain.indices)
-            assert np.array_equal(cached.indptr, plain.indptr)
-
-    def test_refactor_counts_and_matches_fresh_solver(self):
-        clear_pattern_cache()
-        reset_factorization_counters()
-        first = DirectSolver(self._matrix(1))
-        second_matrix = self._matrix(2)
-        refactored = first.refactor(second_matrix)
-        counters = factorization_counters()
-        assert counters["symbolic_analysis"] == 1
-        assert counters["symbolic_reuse"] == 1
-        assert counters["numeric_refactor"] == 1
-        rhs = np.random.default_rng(0).normal(size=40)
-        clear_pattern_cache()
-        fresh = DirectSolver(second_matrix)
-        assert refactored.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()
-
-    def test_refactor_rejects_shape_mismatch(self):
-        solver = DirectSolver(self._matrix(1))
-        with pytest.raises(SolverError, match="shape"):
-            solver.refactor(sp.eye(10, format="csr"))
 
 
 class TestSpanSolver:
