@@ -10,6 +10,7 @@ from repro.sim.linear import (
     DirectSolver,
     factorization_counters,
     make_solver,
+    matrix_fingerprint,
     reset_factorization_counters,
 )
 
@@ -89,6 +90,38 @@ class TestDirectSolverFunnel:
         DirectSolver(second)
         counters = factorization_counters()
         assert counters == {"symbolic_analysis": 2, "symbolic_reuse": 0, "numeric_refactor": 0}
+
+    def test_same_pattern_new_values_gets_a_fresh_factorisation(self):
+        first, second = self._matrix(1), self._matrix(2)
+        rhs = np.random.default_rng(0).normal(size=40)
+        reset_factorization_counters()
+        from_first = make_solver(first)
+        from_second = make_solver(second)
+        assert factorization_counters()["symbolic_analysis"] == 2
+        fresh = DirectSolver(second)
+        assert from_second.solve(rhs).tobytes() == fresh.solve(rhs).tobytes()
+        assert from_first.solve(rhs).tobytes() != from_second.solve(rhs).tobytes()
+        np.testing.assert_allclose(second @ from_second.solve(rhs), rhs, atol=1e-10)
+
+    def test_fingerprint_keys_on_values_not_only_pattern(self):
+        first, second = self._matrix(1), self._matrix(2)
+        assert matrix_fingerprint(first) != matrix_fingerprint(second)
+        assert matrix_fingerprint(first) == matrix_fingerprint(first.tocsc())
+        assert matrix_fingerprint(first) == matrix_fingerprint(first.tocoo())
+
+    def test_session_cache_factorises_once_per_distinct_matrix(self, small_netlist):
+        from repro.api import Analysis
+
+        session = Analysis.from_netlist(small_netlist)
+        first, second = self._matrix(1), self._matrix(2)
+        reset_factorization_counters()
+        solver = session.solver(first)
+        assert session.solver(first.tocsc()) is solver
+        assert factorization_counters()["symbolic_analysis"] == 1
+        assert session.solver(second) is not solver
+        assert factorization_counters()["symbolic_analysis"] == 2
+        info = session.cache_info()["solver"]
+        assert (info["hits"], info["misses"]) == (1, 2)
 
 
 class TestConjugateGradientSolver:
