@@ -22,9 +22,8 @@ Variations" (Ghanta, Vrudhula, Panda, Wang -- DATE 2005).  It contains:
   Figure-1/2 distribution comparisons;
 * :mod:`repro.linalg` -- matrix-free Kronecker-sum operators for the
   augmented Galerkin system (:class:`~repro.linalg.KronSumOperator`) and
-  the block-preconditioned CG backends: ``mean-block-cg`` (one
-  nominal-block LU preconditioning all chaos blocks at once) and
-  ``degree-block-cg`` (exact LUs over chaos-degree bands);
+  the ``mean-block-cg`` backend (CG with one nominal-block LU
+  preconditioning all chaos blocks at once);
 * :mod:`repro.mor` -- PRIMA-style model order reduction (extension);
 * :mod:`repro.api` -- the unified :class:`~repro.api.Analysis` session
   facade, the engine/solver registries and the shared result protocol;
@@ -34,8 +33,7 @@ Variations" (Ghanta, Vrudhula, Panda, Wang -- DATE 2005).  It contains:
   (``opera-run sweep``);
 * :mod:`repro.partition` -- hierarchical partitioned analysis: deterministic
   graph partitioning, exact Schur-complement port reduction (the ``schur``
-  solver backend), block-Jacobi/additive-Schwarz preconditioning
-  (``schwarz-cg``) and the ``hierarchical`` engine.
+  solver backend) and the ``hierarchical`` engine.
 
 Quick start -- the :class:`~repro.api.Analysis` facade is the recommended
 entry point.  A session owns the grid, the variation model and a cache of
@@ -53,7 +51,7 @@ so repeated runs reuse work::
     print(session.compare(samples=200))            # Table-1 accuracy/speed-up row
 
 Every engine (``opera``, ``decoupled``, ``montecarlo``, ``deterministic``,
-``randomwalk``, ``hierarchical``, plus anything added with
+``hierarchical``, plus anything added with
 :func:`~repro.api.register_engine`)
 returns an :class:`~repro.api.AnalysisResult`: uniform ``mean()``, ``std()``,
 ``worst_drop()``, ``wall_time`` and ``to_dict()``, with the engine-native

@@ -285,7 +285,7 @@ class Analysis:
     def solver_stats(self) -> Dict[str, Dict[str, Any]]:
         """Aggregated diagnostics of every cached solver exposing ``stats``.
 
-        Iterative backends (``cg``, ``ilu-cg``, ``schwarz-cg``) report solve
+        Iterative backends (``cg``, ``mean-block-cg``) report solve
         and iteration counters plus their most recent relative residual; the
         partitioned ``schur`` backend reports partition and factorisation
         diagnostics.  Counters are summed per backend name over the session's
@@ -339,7 +339,7 @@ class Analysis:
         ----------
         engine:
             Name of a registered engine (``"opera"``, ``"decoupled"``,
-            ``"montecarlo"``, ``"deterministic"``, ``"randomwalk"``, or any
+            ``"montecarlo"``, ``"deterministic"``, ``"hierarchical"``, or any
             name added with :func:`repro.api.register_engine`).
         mode:
             ``"transient"`` or ``"dc"``; every engine picks its natural

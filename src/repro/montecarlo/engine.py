@@ -77,8 +77,9 @@ class MonteCarloConfig:
     Attributes
     ----------
     transient:
-        Time axis and integration settings (shared with the OPERA run so the
-        comparison is apples-to-apples).
+        Time axis, integration settings and the per-sample linear solver
+        (``transient.solver``), shared with the OPERA run so the comparison
+        is apples-to-apples.
     num_samples:
         Number of Monte Carlo samples; the paper uses 1000.
     seed:
@@ -88,8 +89,6 @@ class MonteCarloConfig:
     store_nodes:
         Node indices whose full per-sample drop waveforms are recorded
         (needed for distribution plots).
-    solver:
-        Linear solver for the per-sample factorisations.
     workers:
         Number of worker processes.  ``1`` (default) runs serially on the
         legacy single-stream path unless ``chunk_size`` is set; ``> 1``
@@ -107,7 +106,6 @@ class MonteCarloConfig:
     seed: int = 0
     antithetic: bool = False
     store_nodes: Tuple[int, ...] = ()
-    solver: str = "direct"
     workers: int = 1
     chunk_size: Optional[int] = None
 

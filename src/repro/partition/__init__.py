@@ -3,13 +3,12 @@
 This package adds a divide-and-conquer layer on top of the monolithic
 engines: a deterministic graph partitioner
 (:mod:`~repro.partition.partitioner`), exact Schur-complement port
-reduction (:mod:`~repro.partition.schur`), a block-Jacobi/additive-Schwarz
-preconditioner for the CG path (:mod:`~repro.partition.preconditioner`),
-process-pool block workers (:mod:`~repro.partition.workers`) and the
-``hierarchical`` analysis engine (:mod:`~repro.partition.engine`).
+reduction (:mod:`~repro.partition.schur`), process-pool block workers
+(:mod:`~repro.partition.workers`) and the ``hierarchical`` analysis engine
+(:mod:`~repro.partition.engine`).
 
-Importing the package registers the ``schur`` and ``schwarz-cg`` solver
-backends and the ``hierarchical`` engine::
+Importing the package registers the ``schur`` solver backend and the
+``hierarchical`` engine::
 
     from repro.api import Analysis
     from repro.sim.linear import make_solver
@@ -18,7 +17,7 @@ backends and the ``hierarchical`` engine::
     result = Analysis.from_spec(2500).run("hierarchical", partitions=4)
 
 (:mod:`repro.api` imports this package, so going through the facade or the
-CLI makes the backends available automatically.)
+CLI makes the backend available automatically.)
 """
 
 from .engine import (
@@ -37,7 +36,6 @@ from .partitioner import (
     partition_system,
     union_structure,
 )
-from .preconditioner import AdditiveSchwarzPreconditioner
 from .schur import SchurComplement, SchurSolver
 from .workers import HierarchicalWorkerPool, split_groups
 
@@ -53,7 +51,6 @@ __all__ = [
     "default_atom_count",
     "SchurComplement",
     "SchurSolver",
-    "AdditiveSchwarzPreconditioner",
     "HierarchicalWorkerPool",
     "split_groups",
     "system_partition",

@@ -121,10 +121,9 @@ def run_hierarchical_transient(
         Worker processes for per-block work; ``1`` runs in-process.
     solver:
         Step-solver backend: ``"schur"`` (default, exact reduction) or a
-        registered iterative backend such as ``"schwarz-cg"``, which runs
-        matrix-free on the stepping operator with the augmented partition's
-        block preconditioner and is warm-started across steps by the
-        shared loop.
+        registered iterative backend such as ``"cg"``, which runs
+        matrix-free on the stepping operator and is warm-started across
+        steps by the shared loop.
     store_coefficients:
         Keep the full chaos-coefficient tensor (memory-hungry on large
         grids); by default only mean/variance waveforms are stored.
@@ -241,7 +240,7 @@ def _run_hierarchical_engine(session, mode: Optional[str] = None, **options):
     Options: ``order`` (chaos order, default 2), ``partitions`` (schedule
     group count ``K``), ``workers`` (process-pool fan-out of per-block
     work), ``atoms`` (fine-tiling override), ``solver`` (step backend:
-    ``"schur"`` or an iterative backend like ``"schwarz-cg"``, transient
+    ``"schur"`` or an iterative backend like ``"cg"``, transient
     mode only), ``store_coefficients``, time axis overrides
     (``t_stop``/``dt``/``scheme``/...), and ``t`` in DC mode.
     Statistics are bit-identical for every ``partitions``/``workers``

@@ -7,10 +7,10 @@ repeated solves" usage pattern of both the transient integrator and the
 special-case analysis of Section 5.1 of the paper.  Every LU is a plain
 ``splu(sp.csc_matrix(A))``; identical step matrices share one LU through
 the session's content-fingerprint solver cache
-(:meth:`repro.api.Analysis.solver`).  Conjugate-gradient
-solvers with Jacobi or ILU preconditioning are provided for large systems
-where factorisation memory is a concern (the iterative-solver route the
-paper mentions in its implementation notes).
+(:meth:`repro.api.Analysis.solver`).  A Jacobi-preconditioned
+conjugate-gradient solver is provided for large systems where
+factorisation memory is a concern (the iterative-solver route the paper
+mentions in its implementation notes).
 
 Solvers are pluggable: each backend registers a factory under a name with
 :func:`register_solver`, and :func:`make_solver` resolves names through the
@@ -144,11 +144,11 @@ class DirectSolver(LinearSolver):
 class PreconditionedCGSolver(LinearSolver):
     """Shared scaffolding of every preconditioned-CG backend.
 
-    The three CG backends of the library (``cg``/``ilu-cg`` here,
-    ``mean-block-cg`` and ``degree-block-cg`` in :mod:`repro.linalg.solvers`)
-    differ only in how they build their preconditioner; the solve loop, the
-    diagnostics bookkeeping and the warm-started multi-RHS sweep are
-    identical.  This base class holds that common machinery:
+    The two CG backends of the library (``cg`` here, ``mean-block-cg`` in
+    :mod:`repro.linalg.solvers`) differ only in how they build their
+    preconditioner; the solve loop, the diagnostics bookkeeping and the
+    warm-started multi-RHS sweep are identical.  This base class holds
+    that common machinery:
 
     * :meth:`solve` runs :func:`scipy.sparse.linalg.cg` with iteration
       counting, converts non-convergence into
@@ -177,17 +177,14 @@ class PreconditionedCGSolver(LinearSolver):
         cg_target,
         residual_target=None,
         preconditioner=None,
-        **extra_stats,
     ) -> None:
         """Install the CG operands and initialise the ``stats`` dict.
 
         ``cg_target`` is what :func:`scipy.sparse.linalg.cg` iterates on (a
         sparse matrix, lazy operator or ``LinearOperator``);
         ``residual_target`` is what the true-residual check multiplies by
-        (defaults to ``cg_target``; the block backends pass their native
-        operator here and a wrapped ``LinearOperator`` to CG).  Extra
-        keyword arguments become additional ``stats`` entries (e.g. the
-        ``band_sizes`` layout of ``degree-block-cg``).
+        (defaults to ``cg_target``; the block backend passes its native
+        operator here and a wrapped ``LinearOperator`` to CG).
         """
         self._cg_target = cg_target
         self._residual_target = residual_target if residual_target is not None else cg_target
@@ -200,7 +197,6 @@ class PreconditionedCGSolver(LinearSolver):
             "last_relative_residual": None,
             "warm_starts": 0,
             "cold_starts": 0,
-            **extra_stats,
         }
 
     def solve(self, rhs: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
@@ -265,14 +261,10 @@ class ConjugateGradientSolver(PreconditionedCGSolver):
     matrix:
         The SPD system matrix -- an explicit sparse matrix or a lazy
         operator (e.g. :class:`repro.linalg.KronSumOperator`), in which
-        case every CG matvec runs matrix-free; only the ``"ilu"``
-        preconditioner materialises the matrix (once, for the factorisation).
+        case every CG matvec runs matrix-free.
     preconditioner:
-        ``"jacobi"`` (diagonal scaling), ``"ilu"`` (incomplete LU), ``None``,
-        or any operator-like object: a :class:`scipy.sparse.linalg.LinearOperator`,
-        an object with ``as_linear_operator()`` or ``matvec()`` (e.g. the
-        additive-Schwarz preconditioner of :mod:`repro.partition`), or a bare
-        callable applying ``M^{-1}`` to a vector.
+        ``"jacobi"`` (diagonal scaling) or ``None`` (plain CG); anything
+        else raises :class:`~repro.errors.SolverError`.
     rtol, maxiter:
         Convergence tolerance and iteration cap; failure to converge raises
         :class:`~repro.errors.ConvergenceError`.
@@ -285,7 +277,7 @@ class ConjugateGradientSolver(PreconditionedCGSolver):
     def __init__(
         self,
         matrix: sp.spmatrix,
-        preconditioner: Optional[object] = "jacobi",
+        preconditioner: Optional[str] = "jacobi",
         rtol: float = 1e-10,
         maxiter: int = 2000,
     ):
@@ -304,36 +296,13 @@ class ConjugateGradientSolver(PreconditionedCGSolver):
     def _build_preconditioner(self, kind):
         if kind is None:
             return None
-        if isinstance(kind, str):
-            if kind == "jacobi":
-                diagonal = self._matrix.diagonal()
-                if np.any(diagonal <= 0):
-                    raise SolverError("Jacobi preconditioner requires positive diagonal")
-                inverse_diagonal = 1.0 / diagonal
-                return spla.LinearOperator(self.shape, matvec=lambda x: inverse_diagonal * x)
-            if kind == "ilu":
-                explicit = (
-                    self._matrix.to_csr()
-                    if _is_lazy_operator(self._matrix)
-                    else self._matrix
-                )
-                ilu = spla.spilu(sp.csc_matrix(explicit), drop_tol=1e-5, fill_factor=10)
-                return spla.LinearOperator(self.shape, matvec=ilu.solve)
-            raise SolverError(f"unknown preconditioner {kind!r}")
-        if isinstance(kind, spla.LinearOperator):
-            return kind
-        as_operator = getattr(kind, "as_linear_operator", None)
-        if callable(as_operator):
-            return as_operator()
-        matvec = getattr(kind, "matvec", None)
-        if callable(matvec):
-            return spla.LinearOperator(self.shape, matvec=matvec)
-        if callable(kind):
-            return spla.LinearOperator(self.shape, matvec=kind)
-        raise SolverError(
-            "preconditioner must be a name, a LinearOperator, an object with "
-            f"as_linear_operator()/matvec(), or a callable; got {type(kind).__name__}"
-        )
+        if not (isinstance(kind, str) and kind == "jacobi"):
+            raise SolverError(f"preconditioner must be 'jacobi' or None; got {kind!r}")
+        diagonal = self._matrix.diagonal()
+        if np.any(diagonal <= 0):
+            raise SolverError("Jacobi preconditioner requires positive diagonal")
+        inverse_diagonal = 1.0 / diagonal
+        return spla.LinearOperator(self.shape, matvec=lambda x: inverse_diagonal * x)
 
 
 # ---------------------------------------------------------------------------
@@ -397,19 +366,16 @@ def make_solver(matrix: sp.spmatrix, method: str = "direct", **options) -> Linea
         System matrix -- an explicit sparse matrix, or a lazy operator
         (:class:`repro.linalg.KronSumOperator`).  Operators are forwarded
         as-is to backends that declare ``accepts_operator`` on their
-        factory (``mean-block-cg``, ``cg``, ``ilu-cg``, ``schwarz-cg``)
+        factory (``mean-block-cg``, ``cg``)
         and materialised with ``to_csr()`` for everything else, so every
         backend works with either input.
     method:
         Name of a registered backend; the built-ins are ``"direct"``
-        (sparse LU), ``"cg"`` (Jacobi-preconditioned CG) and ``"ilu-cg"``
-        (ILU-preconditioned CG).  Importing :mod:`repro.linalg` (or
-        :mod:`repro.api`) additionally registers ``"mean-block-cg"``
-        (matrix-free CG with the ``I_P (x) M0^{-1}`` mean-block
-        preconditioner); importing :mod:`repro.partition` registers
-        ``"schur"`` (partitioned Schur-complement direct solve) and
-        ``"schwarz-cg"`` (CG with a block-Jacobi/additive-Schwarz
-        preconditioner).
+        (sparse LU) and ``"cg"`` (Jacobi-preconditioned CG).  Importing
+        :mod:`repro.linalg` (or :mod:`repro.api`) additionally registers
+        ``"mean-block-cg"`` (matrix-free CG with the ``I_P (x) M0^{-1}``
+        mean-block preconditioner); importing :mod:`repro.partition`
+        registers ``"schur"`` (partitioned Schur-complement direct solve).
     options:
         Forwarded to the solver factory (e.g. ``rtol``, ``maxiter``).
     """
@@ -431,15 +397,6 @@ def _build_cg(matrix: sp.spmatrix, **options) -> ConjugateGradientSolver:
 
 
 _build_cg.accepts_operator = True
-
-
-@register_solver("ilu-cg")
-def _build_ilu_cg(matrix: sp.spmatrix, **options) -> ConjugateGradientSolver:
-    options["preconditioner"] = "ilu"
-    return ConjugateGradientSolver(matrix, **options)
-
-
-_build_ilu_cg.accepts_operator = True
 
 
 def matrix_fingerprint(matrix: sp.spmatrix) -> str:

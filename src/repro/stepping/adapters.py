@@ -11,8 +11,8 @@ Four adapters cover every transient engine of the library:
     The augmented (Galerkin-projected) system of the OPERA method,
     operator-aware: ``assemble="lazy"`` keeps the whole run matrix-free on
     :class:`~repro.linalg.KronSumOperator` representations, and
-    block-structured backends (``mean-block-cg``, ``degree-block-cg``)
-    receive the block size / chaos degrees they need automatically.
+    the block-structured ``mean-block-cg`` backend receives the block size
+    it needs automatically.
 :class:`DecoupledSystemAdapter`
     The Section-5.1 special case (deterministic matrices, stochastic
     excitation): the state stacks the active chaos coefficients, the step
@@ -125,6 +125,9 @@ class MnaSystemAdapter(SystemAdapter):
         self.solver = str(solver)
         self._factory = solver_factory
         self._options = dict(solver_options or {})
+        if self.solver == "mean-block-cg" and not matrix_free:
+            # A plain MNA matrix is one block: its mean block is itself.
+            self._options.setdefault("num_nodes", conductance.shape[0])
 
     @property
     def size(self) -> int:
@@ -162,10 +165,8 @@ class GalerkinSystemAdapter(MnaSystemAdapter):
     via :attr:`repro.opera.config.OperaConfig.effective_assemble`).  The
     excitation is always the Galerkin system's precomputed
     :meth:`~repro.chaos.galerkin.GalerkinSystem.rhs_series` for the loop's
-    exact time axis.  Block-structured solver backends get their structure
-    arguments threaded automatically: ``mean-block-cg`` the block size on
-    explicit input, ``degree-block-cg`` the basis's chaos degrees (plus
-    the block size on explicit input).
+    exact time axis.  The block-structured ``mean-block-cg`` backend gets
+    the block size threaded automatically on explicit input.
     """
 
     def __init__(
@@ -189,14 +190,10 @@ class GalerkinSystemAdapter(MnaSystemAdapter):
         else:
             conductance = galerkin.conductance
             capacitance = galerkin.capacitance
-            if solver in ("mean-block-cg", "degree-block-cg"):
+            if solver == "mean-block-cg":
                 # The explicit matrix carries no block structure; hand the
-                # backend the block size so it can slice out its blocks.
+                # backend the block size so it can slice out its mean block.
                 options.setdefault("num_nodes", galerkin.num_nodes)
-        if solver == "degree-block-cg":
-            # A plain tuple (not an ndarray): solver options join the
-            # session's hashable solver-cache key.
-            options.setdefault("degrees", tuple(int(d) for d in galerkin.basis.degrees))
         super().__init__(
             conductance,
             capacitance,
@@ -359,6 +356,9 @@ class DecoupledSystemAdapter(SystemAdapter):
         self.solver = str(solver)
         self._factory = solver_factory
         self._options = dict(solver_options or {})
+        if self.solver == "mean-block-cg":
+            # The n x n step matrix is one block: its mean block is itself.
+            self._options.setdefault("num_nodes", self.num_nodes)
         #: Per-case track counts of a stacked multi-case march; solves are
         #: split along these groups (see :class:`BlockDiagonalSolver`).
         self._track_spans = track_spans
@@ -418,9 +418,9 @@ class SchurSystemAdapter(SystemAdapter):
     fill, not the kron fill.  ``solver`` selects the step backend:
     ``"schur"`` (default, exact direct reduction) or any other registered
     backend, which receives the matrix-free stepping operator (plus the
-    augmented partition, for backends declaring ``accepts_partition`` such
-    as ``"schwarz-cg"``); iterative backends are warm-started by the
-    shared loop.
+    augmented partition, for backends declaring ``accepts_partition`` on
+    their factory); iterative backends are warm-started by the shared
+    loop.
     """
 
     def __init__(
@@ -504,10 +504,10 @@ class SchurSystemAdapter(SystemAdapter):
             else:
                 from ..sim.linear import solver_factory
 
-                # Partition-aware backends (schur, schwarz-cg) opt in via
-                # `accepts_partition` on their factory and receive the augmented
-                # partition for their block structure; every other backend
-                # (cg, mean-block-cg, ...) just solves the stepping operator.
+                # Partition-aware backends opt in via `accepts_partition` on
+                # their factory and receive the augmented partition for
+                # their block structure; every other backend (cg,
+                # mean-block-cg, ...) just solves the stepping operator.
                 options = dict(self._options)
                 if getattr(solver_factory(self.solver), "accepts_partition", False):
                     options.setdefault("partition", self._partition)

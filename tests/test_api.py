@@ -2,7 +2,7 @@
 
 Covers the acceptance criteria of the API redesign:
 
-* the ``Analysis`` facade runs all five built-in engines on one session;
+* the ``Analysis`` facade runs the four core built-in engines on one session;
 * repeated runs reuse the cached chaos basis and LU factorisation (asserted
   by object identity);
 * registry registration/lookup errors for engines and solvers;
@@ -108,19 +108,24 @@ class TestConstruction:
 # ---------------------------------------------------------------------------
 class TestEngines:
     def test_builtin_engine_names(self):
-        names = engine_names()
-        for expected in ("opera", "decoupled", "montecarlo", "deterministic", "randomwalk"):
-            assert expected in names
+        assert engine_names() == (
+            "decoupled",
+            "deterministic",
+            "hierarchical",
+            "montecarlo",
+            "mor",
+            "opera",
+            "pce-regression",
+        )
 
-    def test_all_five_engines_on_one_session(self, rhs_only_session):
-        """Acceptance: the facade runs all five registered engines on the
-        same session object, each returning a protocol-conformant result."""
+    def test_all_four_engines_on_one_session(self, rhs_only_session):
+        """Acceptance: the facade runs the four core engines on the same
+        session object, each returning a protocol-conformant result."""
         results = {
             "opera": rhs_only_session.run("opera", order=2),
             "decoupled": rhs_only_session.run("decoupled", order=2),
             "montecarlo": rhs_only_session.run("montecarlo", samples=8, seed=1),
             "deterministic": rhs_only_session.run("deterministic"),
-            "randomwalk": rhs_only_session.run("randomwalk", num_walks=50),
         }
         for name, result in results.items():
             assert isinstance(result, AnalysisResult), name
@@ -158,22 +163,29 @@ class TestEngines:
         result = session.run("montecarlo", mode="dc", samples=6, seed=2)
         assert result.to_dict()["num_samples"] == 6
 
-    def test_randomwalk_default_mode_is_dc(self, session):
-        result = session.run("randomwalk", num_walks=40)
-        assert result.mode == "dc"
-        assert result.mean().shape == (1,)
+    def test_montecarlo_transient_rejects_unknown_solver(self, session):
+        with pytest.raises(SolverError, match="no-such-solver"):
+            session.run("montecarlo", samples=4, solver="no-such-solver")
 
-    def test_randomwalk_rejects_transient(self, session):
-        with pytest.raises(AnalysisError):
-            session.run("randomwalk", mode="transient")
+    def test_montecarlo_transient_honours_solver(self, session):
+        direct = session.run("montecarlo", samples=4, seed=3, solver="direct")
+        iterative = session.run("montecarlo", samples=4, seed=3, solver="cg")
+        assert direct.transient.solver == "direct"
+        assert iterative.transient.solver == "cg"
+        # A different backend really ran: CG is close to LU, not bitwise equal.
+        assert not np.array_equal(iterative.mean(), direct.mean())
+        scale = np.max(np.abs(direct.mean()))
+        np.testing.assert_allclose(iterative.mean(), direct.mean(), rtol=0, atol=1e-7 * scale)
+        np.testing.assert_allclose(iterative.std(), direct.std(), rtol=0, atol=1e-7 * scale)
 
-    def test_randomwalk_matches_dc_solution(self, session):
-        node = int(np.argmax(session.stamped.drain_current_vector(0.0)))
-        estimate = session.run("randomwalk", nodes=node, num_walks=800, seed=5)
-        exact = session.run("deterministic", mode="dc")
-        assert estimate.mean()[0] == pytest.approx(
-            exact.mean()[node], abs=6 * max(estimate.std()[0], 1e-6)
-        )
+    def test_plain_mna_transients_accept_mean_block_cg(self, session):
+        """On an n x n MNA system the mean block is the whole matrix."""
+        for engine, options in (("deterministic", {}), ("montecarlo", {"samples": 4, "seed": 3})):
+            direct = session.run(engine, solver="direct", **options)
+            blocked = session.run(engine, solver="mean-block-cg", **options)
+            scale = np.max(np.abs(direct.mean()))
+            np.testing.assert_allclose(blocked.mean(), direct.mean(), rtol=0, atol=1e-10 * scale)
+            np.testing.assert_allclose(blocked.std(), direct.std(), rtol=0, atol=1e-10 * scale)
 
     def test_unknown_engine_lists_choices(self, session):
         with pytest.raises(AnalysisError, match="registered engines"):
@@ -296,9 +308,7 @@ class TestEngineRegistry:
 
 class TestSolverRegistry:
     def test_builtin_solver_names(self):
-        names = solver_names()
-        for expected in ("direct", "cg", "ilu-cg"):
-            assert expected in names
+        assert solver_names() == ("cg", "direct", "mean-block-cg", "schur")
 
     def test_unknown_solver_lists_choices(self, small_stamped):
         with pytest.raises(SolverError, match="registered solvers"):
@@ -462,6 +472,7 @@ class TestCLIEngineFlags:
         assert code == 0
         assert "worst node" in capsys.readouterr().out
 
+
 class TestSolverStats:
     def test_session_aggregates_cg_stats(self, small_netlist):
         from repro.api import Analysis
@@ -592,4 +603,3 @@ class TestTelemetryStepStats:
                 profiled = session.run(engine, **options)
             assert np.array_equal(baseline.mean(), profiled.mean())
             assert np.array_equal(baseline.std(), profiled.std())
-

@@ -1,5 +1,5 @@
-"""Tests for the partition subsystem: partitioner, Schur reduction,
-Schwarz preconditioning, the hierarchical engine and its wiring."""
+"""Tests for the partition subsystem: partitioner, Schur reduction, the
+hierarchical engine and its wiring."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.errors import AnalysisError, SolverError
 from repro.grid import GridSpec, generate_power_grid, stamp
 from repro.grid.generator import spec_for_node_count
 from repro.partition import (
-    AdditiveSchwarzPreconditioner,
     GridPartition,
     SchurComplement,
     SchurSolver,
@@ -194,44 +193,6 @@ class TestSchur:
             solution = SchurSolver(conductance, partition=partition).solve(rhs)
             relative = np.max(np.abs(solution - reference)) / np.max(np.abs(reference))
             assert relative <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Additive Schwarz / block-Jacobi preconditioning
-# ---------------------------------------------------------------------------
-class TestSchwarz:
-    def test_preconditioned_cg_matches_direct(self, medium_stamped):
-        conductance = medium_stamped.conductance
-        rhs = medium_stamped.rhs(0.5e-9)
-        reference = DirectSolver(conductance).solve(rhs)
-        solver = make_solver(conductance, method="schwarz-cg", num_parts=4, overlap=1, rtol=1e-12)
-        assert np.allclose(solver.solve(rhs), reference, rtol=0, atol=1e-8)
-        assert solver.stats["solves"] == 1
-        assert solver.stats["last_relative_residual"] < 1e-10
-
-    def test_overlap_reduces_iterations(self, medium_stamped):
-        conductance = medium_stamped.conductance
-        rhs = medium_stamped.rhs(0.5e-9)
-        jacobi = make_solver(conductance, method="cg", rtol=1e-10)
-        schwarz = make_solver(conductance, method="schwarz-cg", num_parts=4, overlap=1, rtol=1e-10)
-        jacobi.solve(rhs)
-        schwarz.solve(rhs)
-        assert schwarz.stats["last_iterations"] < jacobi.stats["last_iterations"]
-
-    def test_block_jacobi_operator_shape(self, medium_stamped):
-        preconditioner = AdditiveSchwarzPreconditioner(
-            medium_stamped.conductance, num_parts=3, overlap=0
-        )
-        operator = preconditioner.as_linear_operator()
-        n = medium_stamped.num_nodes
-        assert operator.shape == (n, n)
-        out = operator.matvec(np.ones(n))
-        assert out.shape == (n,)
-        assert np.all(np.isfinite(out))
-
-    def test_rejects_negative_overlap(self, medium_stamped):
-        with pytest.raises(SolverError):
-            AdditiveSchwarzPreconditioner(medium_stamped.conductance, overlap=-1)
 
 
 # ---------------------------------------------------------------------------
