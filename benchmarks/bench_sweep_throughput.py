@@ -5,8 +5,8 @@ Runs one corner sweep -- the three RHS-only corners x (``opera``,
 the plain per-case runner and through the topology-batched scheduler
 (``SweepRunner(batch=True)``), and records cases/second for both.  The
 batched pass shares everything the topology determines: one LU of the
-nominal step matrix (each LU is a plain ``splu`` with its own symbolic
-analysis), one stacked multi-RHS march covering every distinct stackable
+nominal step matrix (each LU comes from the direct funnel, with its own
+symbolic analysis), one stacked multi-RHS march covering every distinct stackable
 scenario and one deduplicated march for the corner-independent
 deterministic cases.  Every batched case's statistics are asserted
 **bit-identical** to its unbatched twin before the artifact is written --

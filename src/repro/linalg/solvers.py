@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..errors import SolverError
-from ..sim.linear import PreconditionedCGSolver, register_solver
+from ..sim.linear import PreconditionedCGSolver, _factor_sparse, register_solver
 from ..telemetry import current_telemetry
 from .operator import KronSumOperator, is_operator
 
@@ -59,7 +59,9 @@ class MeanBlockCGSolver(PreconditionedCGSolver):
 
     Every solve updates ``stats`` (solve/iteration counters and the true
     final relative residual), matching the diagnostics contract of the
-    other iterative backends.
+    other iterative backends.  The mean block is factored by the direct
+    funnel (:func:`repro.sim.linear._factor_sparse`); ``symmetric`` records
+    whether its symmetric-mode path was taken.
     """
 
     method_name = "mean-block-cg"
@@ -118,8 +120,9 @@ class MeanBlockCGSolver(PreconditionedCGSolver):
         try:
             with current_telemetry().span(
                 "solver.factor", phase="factor", solver=self.method_name
-            ):
-                self._mean_lu = spla.splu(mean_block)
+            ) as span:
+                self._mean_lu, self.symmetric = _factor_sparse(mean_block)
+                span.annotate(symmetric=self.symmetric)
         except RuntimeError as exc:  # singular mean block
             raise SolverError(f"mean-block LU factorisation failed: {exc}") from exc
         self._configure_cg(

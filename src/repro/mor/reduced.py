@@ -33,10 +33,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import SolverError
 from ..linalg.operator import kron_sum_csr
+from ..sim.linear import DenseFactor, nearly_symmetric
 from ..telemetry import current_telemetry
 from .macromodel import BlockMacromodel
 
@@ -150,32 +150,82 @@ class ReducedBlockSolver:
     """Dense block elimination of a :class:`ReducedBlockOperator` LHS.
 
     Mirrors :class:`repro.partition.schur.SchurComplement` on the reduced
-    system: LU-factor every atom's dense diagonal block, form the dense
-    interface Schur complement ``S = S0 - sum_k F_k D_k^{-1} E_k``, and
-    solve by eliminate / interface solve / back-substitute.  Direct (no
-    warm start), so the shared step loop treats it like any factorisation.
+    system: factor every atom's dense diagonal block ``D_k``, form the
+    dense interface Schur complement ``S = S0 - sum_k F_k D_k^{-1} E_k``,
+    and solve by eliminate / interface solve / back-substitute.  Direct
+    (no warm start), so the shared step loop treats it like any
+    factorisation.
+
+    Two routes, recorded as ``cholesky``:
+
+    * *Cholesky* -- taken when every ``D_k`` and ``S`` is symmetric to
+      :data:`~repro.sim.linear.DENSE_SYMMETRY_RTOL` relative to its
+      largest entry and positive definite (``cho_factor`` succeeds), and
+      every ``F_k`` equals ``E_k^T`` to the same tolerance, as congruence
+      projections of RC grids give.  With ``D_k = L_k L_k^T`` and
+      ``W_k = L_k^{-1} E_k`` the update is ``S -= W_k^T W_k``, and a solve
+      needs two triangular solves per atom plus one Cholesky solve of
+      ``S``.
+    * *LU* -- ``lu_factor`` for every block and for ``S``, used for the
+      whole solver as soon as any of those conditions fails.
     """
 
     def __init__(self, operator: ReducedBlockOperator):
         started = time.perf_counter()
         with current_telemetry().span(
             "solver.factor", phase="factor", solver="mor-block", blocks=len(operator.diag)
-        ):
+        ) as span:
             self.operator = operator
-            self._block_lu = [lu_factor(block) for block in operator.diag]
-            self._eliminated = [
-                lu_solve(lu, coupling) if coupling.shape[1] else coupling
-                for lu, coupling in zip(self._block_lu, operator.couple_ib)
-            ]
-            schur = np.asarray(operator.interface.todense())
-            for reverse, eliminated, cols in zip(
-                operator.couple_bi, self._eliminated, operator.col_index
-            ):
-                if cols.size:
-                    schur[np.ix_(cols, cols)] -= reverse @ eliminated
-            self._interface_lu = lu_factor(schur)
+            self.cholesky = self._factor_cholesky(operator)
+            if not self.cholesky:
+                self._factor_lu(operator)
+            span.annotate(cholesky=self.cholesky)
         self.factor_time = time.perf_counter() - started
         self.shape = operator.shape
+
+    def _dense_interface(self) -> np.ndarray:
+        return np.asarray(self.operator.interface.todense())
+
+    def _factor_cholesky(self, operator: ReducedBlockOperator) -> bool:
+        """Try the Cholesky route; False (nothing kept) when it does not apply."""
+        if not all(
+            nearly_symmetric(block) and nearly_symmetric(forward, reverse)
+            for block, forward, reverse in zip(
+                operator.diag, operator.couple_ib, operator.couple_bi
+            )
+        ):
+            return False
+        blocks = []
+        for block in operator.diag:
+            factor = DenseFactor(block)
+            if not factor.cholesky:
+                return False
+            blocks.append(factor)
+        halves = [
+            factor.lower_solve(coupling) if coupling.shape[1] else coupling
+            for factor, coupling in zip(blocks, operator.couple_ib)
+        ]
+        schur = self._dense_interface()
+        for half, cols in zip(halves, operator.col_index):
+            if cols.size:
+                schur[np.ix_(cols, cols)] -= half.T @ half
+        interface = DenseFactor(schur)
+        if not interface.cholesky:
+            return False
+        self._blocks, self._halves, self._interface = blocks, halves, interface
+        return True
+
+    def _factor_lu(self, operator: ReducedBlockOperator) -> None:
+        self._blocks = [DenseFactor(block, cholesky=False) for block in operator.diag]
+        self._halves = [
+            factor.solve(coupling) if coupling.shape[1] else coupling
+            for factor, coupling in zip(self._blocks, operator.couple_ib)
+        ]
+        schur = self._dense_interface()
+        for reverse, eliminated, cols in zip(operator.couple_bi, self._halves, operator.col_index):
+            if cols.size:
+                schur[np.ix_(cols, cols)] -= reverse @ eliminated
+        self._interface = DenseFactor(schur, cholesky=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         operator = self.operator
@@ -183,25 +233,36 @@ class ReducedBlockSolver:
         if rhs.shape != (operator.size,):
             raise SolverError(f"right-hand side has shape {rhs.shape}, expected ({operator.size},)")
         reduced_tail = rhs[operator.boundary_offset :].copy()
+        # Cholesky route: ``L_k^{-1} b_k``, whose image under ``W_k^T`` is
+        # ``F_k D_k^{-1} b_k``.  LU route: ``D_k^{-1} b_k`` itself.
         eliminated_states: List[np.ndarray] = []
-        for lu, reverse, cols, offset, block in zip(
-            self._block_lu,
+        for factor, half, reverse, cols, offset, block in zip(
+            self._blocks,
+            self._halves,
             operator.couple_bi,
             operator.col_index,
             operator.offsets,
             operator.diag,
         ):
-            state = lu_solve(lu, rhs[offset : offset + block.shape[0]])
+            segment = rhs[offset : offset + block.shape[0]]
+            if self.cholesky:
+                state = factor.lower_solve(segment)
+                if cols.size:
+                    reduced_tail[cols] -= half.T @ state
+            else:
+                state = factor.solve(segment)
+                if cols.size:
+                    reduced_tail[cols] -= reverse @ state
             eliminated_states.append(state)
-            if cols.size:
-                reduced_tail[cols] -= reverse @ state
-        tail = lu_solve(self._interface_lu, reduced_tail)
+        tail = self._interface.solve(reduced_tail)
         out = np.empty(operator.size)
-        for state, eliminated, cols, offset in zip(
-            eliminated_states, self._eliminated, operator.col_index, operator.offsets
+        for factor, state, half, cols, offset in zip(
+            self._blocks, eliminated_states, self._halves, operator.col_index, operator.offsets
         ):
             if cols.size:
-                state = state - eliminated @ tail[cols]
+                state = state - half @ tail[cols]
+            if self.cholesky:
+                state = factor.lower_solve(state, transpose=True)
             out[offset : offset + state.size] = state
         out[operator.boundary_offset :] = tail
         return out

@@ -29,10 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import SolverError
-from ..sim.linear import DirectSolver, LinearSolver, register_solver
+from ..sim.linear import DenseFactor, DirectSolver, LinearSolver, register_solver
 from ..telemetry import current_telemetry
 from .partitioner import GridPartition, partition_matrix
 
@@ -129,6 +128,12 @@ class SchurComplement:
         hierarchical engine substitutes a process-pool backend here.
     validate:
         Verify the separator property against ``matrix`` before factoring.
+
+    Interior blocks are factored by :class:`~repro.sim.linear.DirectSolver`
+    and the dense interface Schur complement by
+    :class:`~repro.sim.linear.DenseFactor`: Cholesky when it is symmetric
+    (to :data:`~repro.sim.linear.DENSE_SYMMETRY_RTOL`) and positive
+    definite, LU otherwise.  ``cholesky`` records which.
     """
 
     def __init__(
@@ -159,7 +164,7 @@ class SchurComplement:
         # blocks is fixed (ascending block id) for bitwise reproducibility.
         with current_telemetry().span(
             "schur.factor", phase="factor", solver="schur", blocks=len(self._atom_ids)
-        ):
+        ) as span:
             condensed = self._backend.condense(self._atom_ids)
             self._responses: Dict[int, np.ndarray] = {}
             self._local_ports: Dict[int, np.ndarray] = {}
@@ -171,7 +176,9 @@ class SchurComplement:
                 self._local_ports[k] = local
                 if local.size:
                     interface[np.ix_(local, local)] -= contribution
-            self._interface_lu = lu_factor(interface) if num_ports else None
+            self._interface = DenseFactor(interface) if num_ports else None
+            self.cholesky = bool(num_ports) and self._interface.cholesky
+            span.annotate(cholesky=self.cholesky)
         self.factor_time = time.perf_counter() - started
         self.stats = {
             "method": "schur",
@@ -208,7 +215,7 @@ class SchurComplement:
             if local.size:
                 reduced[local] -= g_local
         if boundary.size:
-            ports = lu_solve(self._interface_lu, reduced)
+            ports = self._interface.solve(reduced)
         else:
             ports = reduced
 
@@ -275,8 +282,3 @@ class SchurSolver(LinearSolver):
 @register_solver("schur")
 def _build_schur(matrix: sp.spmatrix, **options) -> SchurSolver:
     return SchurSolver(matrix, **options)
-
-
-#: Consumed by :class:`repro.stepping.SchurSystemAdapter`: this backend takes
-#: a precomputed ``partition=`` for its block structure.
-_build_schur.accepts_partition = True

@@ -26,6 +26,9 @@ def solve_dc(
     **solver_options,
 ) -> np.ndarray:
     """Solve ``G x = rhs`` and return the node voltages."""
+    if solver == "mean-block-cg":
+        # A plain MNA matrix is one block: its mean block is itself.
+        solver_options.setdefault("num_nodes", conductance.shape[0])
     linear: LinearSolver = make_solver(conductance, method=solver, **solver_options)
     return linear.solve(np.asarray(rhs, dtype=float))
 

@@ -4,13 +4,34 @@ Power-grid conductance matrices are symmetric, positive definite and very
 sparse, so the default solver is a sparse LU factorisation (SuperLU via
 ``scipy.sparse.linalg.splu``), which matches the "single factorisation,
 repeated solves" usage pattern of both the transient integrator and the
-special-case analysis of Section 5.1 of the paper.  Every LU is a plain
-``splu(sp.csc_matrix(A))``; identical step matrices share one LU through
-the session's content-fingerprint solver cache
-(:meth:`repro.api.Analysis.solver`).  A Jacobi-preconditioned
-conjugate-gradient solver is provided for large systems where
-factorisation memory is a concern (the iterative-solver route the paper
-mentions in its implementation notes).
+special-case analysis of Section 5.1 of the paper.  Every sparse factor
+goes through one funnel, :func:`_factor_sparse`:
+
+* when ``A`` is exactly symmetric with a positive diagonal (every MNA and
+  augmented Galerkin step matrix), SuperLU runs in symmetric mode: a
+  minimum-degree ordering of ``A + A^T`` applied to rows and columns alike
+  and diagonal pivots (``permc_spec="MMD_AT_PLUS_A"``,
+  ``diag_pivot_thresh=0``, ``SymmetricMode``).  That roughly halves the
+  fill and the factor time of the default column ordering;
+* the symmetric factor is kept only if its row and column permutations
+  agree (no off-diagonal pivot was taken) and one check solve shows a
+  normwise backward error of at most ``1e-12``;
+* otherwise -- an unsymmetric matrix, a zero or negative diagonal entry,
+  a zero pivot or a failed check -- the plain ``splu(A)`` (column
+  ordering ``COLAMD``, partial pivoting) factors ``A``.
+
+:class:`DirectSolver` records the path taken as ``symmetric``.  Identical
+step matrices share one factor through the session's content-fingerprint
+solver cache (:meth:`repro.api.Analysis.solver`).
+
+Dense blocks (the reduced ``mor`` system, the partitioned Schur interface)
+go through :class:`DenseFactor`: Cholesky when the block is symmetric to
+:data:`DENSE_SYMMETRY_RTOL` relative to its largest entry and
+``cho_factor`` succeeds, LU (``lu_factor``) otherwise.
+
+A Jacobi-preconditioned conjugate-gradient solver is provided for large
+systems where factorisation memory is a concern (the iterative-solver
+route the paper mentions in its implementation notes).
 
 Solvers are pluggable: each backend registers a factory under a name with
 :func:`register_solver`, and :func:`make_solver` resolves names through the
@@ -22,11 +43,12 @@ from __future__ import annotations
 
 import abc
 import hashlib
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_factor, lu_factor, lu_solve, solve_triangular
 
 from ..errors import ConvergenceError, SolverError
 from ..registry import Registry
@@ -35,6 +57,9 @@ from ..telemetry import current_telemetry
 __all__ = [
     "LinearSolver",
     "DirectSolver",
+    "DenseFactor",
+    "DENSE_SYMMETRY_RTOL",
+    "nearly_symmetric",
     "PreconditionedCGSolver",
     "ConjugateGradientSolver",
     "make_solver",
@@ -69,8 +94,9 @@ _FACTOR_COUNTERS = {"symbolic_analysis": 0, "symbolic_reuse": 0, "numeric_refact
 def factorization_counters() -> dict:
     """Snapshot of the process-wide factorisation counters.
 
-    ``symbolic_analysis`` counts :class:`DirectSolver` factorisations; each
-    ``splu`` call runs its own ordering and symbolic analysis.
+    ``symbolic_analysis`` counts :class:`DirectSolver` factorisations, one
+    per solver whichever path of :func:`_factor_sparse` made it; each runs
+    its own ordering and symbolic analysis.
     ``symbolic_reuse`` and ``numeric_refactor`` are always 0, because no
     symbolic analysis is ever reused; they are kept so readers of the
     historical counter names keep working.
@@ -82,6 +108,141 @@ def reset_factorization_counters() -> None:
     """Zero the factorisation counters (test/bench isolation)."""
     for name in _FACTOR_COUNTERS:
         _FACTOR_COUNTERS[name] = 0
+
+
+# ---------------------------------------------------------------------------
+# The factorisation funnel
+# ---------------------------------------------------------------------------
+#: ``splu`` settings of the symmetric path: one minimum-degree ordering of
+#: ``A + A^T`` applied to rows and columns, diagonal pivots only.
+_SYMMETRIC_SPLU = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0.0,
+    "options": {"SymmetricMode": True},
+}
+
+#: Largest normwise backward error the symmetric factor may show on its
+#: check solve; a stable factorisation of a grid matrix shows ~1e-16.
+_BACKWARD_ERROR_LIMIT = 1e-12
+
+
+def _symmetric_with_positive_diagonal(matrix: sp.csc_matrix) -> bool:
+    """The precondition of the symmetric path: ``A == A^T`` exactly, ``diag(A) > 0``."""
+    return bool(
+        matrix.shape[0] > 0 and np.all(matrix.diagonal() > 0) and (matrix != matrix.T).nnz == 0
+    )
+
+
+def _symmetric_factor(matrix: sp.csc_matrix) -> Optional[spla.SuperLU]:
+    """The symmetric-mode SuperLU factor of ``matrix``, or None if it is unsafe.
+
+    Rejected when a zero pivot stops the factorisation, when an
+    off-diagonal pivot was taken (``perm_r != perm_c``), or when a solve
+    with ``b = 1`` shows a normwise backward error
+    ``|Ax - b| / (|A| |x| + |b|)`` (infinity norms) above
+    :data:`_BACKWARD_ERROR_LIMIT` -- the sign of pivot growth.  The check
+    never reads ``L`` or ``U``, which would copy the factor.
+    """
+    try:
+        lu = spla.splu(matrix, **_SYMMETRIC_SPLU)
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    rhs = np.ones(matrix.shape[0])
+    solution = lu.solve(rhs)
+    residual = float(np.max(np.abs(matrix @ solution - rhs)))
+    scale = spla.norm(matrix, np.inf) * float(np.max(np.abs(solution))) + 1.0
+    # A non-finite solution makes the comparison False and rejects the factor.
+    return lu if residual / scale <= _BACKWARD_ERROR_LIMIT else None
+
+
+def _factor_sparse(matrix: sp.csc_matrix) -> Tuple[spla.SuperLU, bool]:
+    """SuperLU factor of ``matrix`` and whether the symmetric path made it.
+
+    The symmetric-mode factor is tried when ``matrix`` is exactly
+    symmetric with a positive diagonal and kept when it passes the checks
+    of :func:`_symmetric_factor`; otherwise the plain ``splu(matrix)``
+    factors it (and raises ``RuntimeError`` on a singular matrix).
+    """
+    if _symmetric_with_positive_diagonal(matrix):
+        lu = _symmetric_factor(matrix)
+        if lu is not None:
+            return lu, True
+    return spla.splu(matrix), False
+
+
+#: Relative asymmetry ``max|M - M^T| / max|M|`` a dense block may carry and
+#: still be Cholesky-factored.  Projected blocks are symmetric only to
+#: rounding (about 2e-15 on the reduced ``mor`` blocks), not exactly.
+DENSE_SYMMETRY_RTOL = 1e-12
+
+#: Rows per slab of the dense symmetry check.
+_SYMMETRY_SLAB_ROWS = 256
+
+
+def nearly_symmetric(matrix: np.ndarray, transpose: Optional[np.ndarray] = None) -> bool:
+    """``max|M - N^T| <= DENSE_SYMMETRY_RTOL * max|M|``, with ``N = M`` by default.
+
+    Pass ``transpose`` to test whether ``N`` is (nearly) ``M^T`` -- the two
+    off-diagonal couplings of a symmetric block system.  The difference is
+    taken a slab of rows at a time, so the check never holds a temporary
+    the size of ``M``.
+    """
+    matrix = np.asarray(matrix)
+    other = (matrix if transpose is None else np.asarray(transpose)).T
+    if other.shape != matrix.shape:
+        return False
+    if not matrix.size:
+        return True
+    limit = DENSE_SYMMETRY_RTOL * max(float(matrix.max()), -float(matrix.min()))
+    for start in range(0, matrix.shape[0], _SYMMETRY_SLAB_ROWS):
+        rows = slice(start, start + _SYMMETRY_SLAB_ROWS)
+        if not np.max(np.abs(matrix[rows] - other[rows])) <= limit:
+            return False
+    return True
+
+
+class DenseFactor:
+    """A dense factorisation: Cholesky where it is safe, LU otherwise.
+
+    Cholesky (``cho_factor``, lower triangle) is used when ``cholesky`` is
+    left on, the matrix is :func:`nearly_symmetric` and ``cho_factor``
+    succeeds, i.e. the matrix is positive definite; anything else --
+    asymmetry above :data:`DENSE_SYMMETRY_RTOL` or a ``LinAlgError`` --
+    takes ``lu_factor``.  ``cholesky`` records the path taken.
+    """
+
+    __slots__ = ("cholesky", "_factor")
+
+    def __init__(self, matrix: np.ndarray, cholesky: bool = True):
+        self.cholesky = False
+        if cholesky and nearly_symmetric(matrix):
+            try:
+                self._factor = cho_factor(matrix, lower=True)[0]
+                self.cholesky = True
+            except LinAlgError:  # not positive definite
+                pass
+        if not self.cholesky:
+            self._factor = lu_factor(matrix)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``M^{-1} rhs`` (1-D or 2-D right-hand side)."""
+        if self.cholesky:
+            return self.lower_solve(self.lower_solve(rhs), transpose=True)
+        return lu_solve(self._factor, rhs)
+
+    def lower_solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``L^{-1} rhs`` (or ``L^{-T} rhs``) with the Cholesky factor ``M = L L^T``.
+
+        The factor was checked finite when it was made, so the solve skips
+        that O(n^2) scan (which costs more than the solve itself).
+        """
+        if not self.cholesky:
+            raise SolverError("lower_solve needs a Cholesky factor")
+        return solve_triangular(
+            self._factor, rhs, lower=True, trans=1 if transpose else 0, check_finite=False
+        )
 
 
 class LinearSolver(abc.ABC):
@@ -100,7 +261,11 @@ class LinearSolver(abc.ABC):
 
 
 class DirectSolver(LinearSolver):
-    """Sparse LU factorisation (SuperLU) with cached factors."""
+    """Sparse LU factorisation (SuperLU) with cached factors.
+
+    The factor comes from :func:`_factor_sparse`; ``symmetric`` is True
+    when the symmetric-mode path made it and False for the plain ``splu``.
+    """
 
     def solve_many(self, rhs_columns: np.ndarray) -> np.ndarray:
         """Solve for all columns in one SuperLU call (2-D RHS support)."""
@@ -122,8 +287,9 @@ class DirectSolver(LinearSolver):
         if matrix.shape[0] != matrix.shape[1]:
             raise SolverError("direct solver requires a square matrix")
         try:
-            with current_telemetry().span("solver.factor", phase="factor", solver="direct"):
-                self._lu = spla.splu(matrix)
+            with current_telemetry().span("solver.factor", phase="factor", solver="direct") as span:
+                self._lu, self.symmetric = _factor_sparse(matrix)
+                span.annotate(symmetric=self.symmetric)
         except RuntimeError as exc:  # singular matrix
             raise SolverError(f"LU factorisation failed: {exc}") from exc
         _FACTOR_COUNTERS["symbolic_analysis"] += 1

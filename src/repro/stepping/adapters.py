@@ -417,10 +417,8 @@ class SchurSystemAdapter(SystemAdapter):
     matrix-free Kronecker-sum operators -- applying them costs the grid
     fill, not the kron fill.  ``solver`` selects the step backend:
     ``"schur"`` (default, exact direct reduction) or any other registered
-    backend, which receives the matrix-free stepping operator (plus the
-    augmented partition, for backends declaring ``accepts_partition`` on
-    their factory); iterative backends are warm-started by the shared
-    loop.
+    backend, which receives the matrix-free stepping operator; iterative
+    backends are warm-started by the shared loop.
     """
 
     def __init__(
@@ -502,16 +500,7 @@ class SchurSystemAdapter(SystemAdapter):
                 )
                 self.schur_step = self.step_solver
             else:
-                from ..sim.linear import solver_factory
-
-                # Partition-aware backends opt in via `accepts_partition` on
-                # their factory and receive the augmented partition for
-                # their block structure; every other backend (cg,
-                # mean-block-cg, ...) just solves the stepping operator.
-                options = dict(self._options)
-                if getattr(solver_factory(self.solver), "accepts_partition", False):
-                    options.setdefault("partition", self._partition)
-                self.step_solver = _default_factory()(stepping, method=self.solver, **options)
+                self.step_solver = _default_factory()(stepping, method=self.solver, **self._options)
 
             forms = StepForms(
                 scheme=operator_forms.scheme,

@@ -98,6 +98,10 @@ class Span:
         tele._finish_span(self)
         return False
 
+    def annotate(self, **attrs) -> None:
+        """Add attributes known only once the section has run (e.g. the path taken)."""
+        self.attrs.update(attrs)
+
 
 class Telemetry:
     """An enabled telemetry context collecting spans, metrics and step stats.
@@ -227,6 +231,9 @@ class _NullSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
+
+    def annotate(self, **attrs) -> None:
+        pass
 
 
 _NULL_SPAN = _NullSpan()

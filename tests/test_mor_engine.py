@@ -261,6 +261,77 @@ class TestReducedBlockSystem:
         assert solver.shape == lhs.shape
         assert np.allclose(solver.solve(lhs.matvec(x)), x, atol=1e-6)
 
+    @staticmethod
+    def _with(operator, **pieces):
+        """A copy of ``operator`` with some of its block lists replaced."""
+        from repro.mor.reduced import ReducedBlockOperator
+
+        return ReducedBlockOperator(
+            pieces.get("diag", operator.diag),
+            pieces.get("couple_ib", operator.couple_ib),
+            pieces.get("couple_bi", operator.couple_bi),
+            operator.interface,
+            operator.col_index,
+            operator.offsets,
+            operator.boundary_offset,
+        )
+
+    def test_cholesky_route_matches_the_lu_route(self, reduced_pair, monkeypatch):
+        import repro.mor.reduced as reduced
+
+        conductance, capacitance, _, _, _, _ = reduced_pair
+        rhs = np.random.default_rng(17).standard_normal(conductance.size)
+        for lhs in (conductance, conductance + capacitance / 2.0e-10):
+            cholesky = ReducedBlockSolver(lhs)
+            assert cholesky.cholesky
+            with monkeypatch.context() as patched:
+                patched.setattr(reduced, "nearly_symmetric", lambda *args: False)
+                lu = ReducedBlockSolver(lhs)
+            assert not lu.cholesky
+            assert _relative_gap(cholesky.solve(rhs), lu.solve(rhs)) <= 1e-12
+
+    def test_cholesky_route_is_a_span_attribute(self, reduced_pair):
+        from repro.telemetry import profile
+
+        conductance, _, _, _, _, _ = reduced_pair
+        rhs = np.ones(conductance.size)
+        quiet = ReducedBlockSolver(conductance).solve(rhs)
+        with profile() as tele:
+            traced = ReducedBlockSolver(conductance).solve(rhs)
+        assert traced.tobytes() == quiet.tobytes()
+        (event,) = [
+            event
+            for event in tele.events
+            if event["name"] == "solver.factor" and event["attrs"]["solver"] == "mor-block"
+        ]
+        assert event["attrs"]["cholesky"] is True
+
+    def test_asymmetric_block_takes_the_lu_route(self, reduced_pair):
+        conductance, _, _, _, _, _ = reduced_pair
+        first = conductance.diag[0].copy()
+        first[0, -1] += 1e-6 * np.max(np.abs(first))
+        lhs = self._with(conductance, diag=[first] + conductance.diag[1:])
+        self._assert_lu_route_solves(lhs)
+
+    def test_indefinite_block_takes_the_lu_route(self, reduced_pair):
+        conductance, _, _, _, _, _ = reduced_pair
+        first = conductance.diag[0].copy()
+        first[0, 0] = -10.0 * np.max(np.abs(first))
+        lhs = self._with(conductance, diag=[first] + conductance.diag[1:])
+        self._assert_lu_route_solves(lhs)
+
+    def test_unmatched_couplings_take_the_lu_route(self, reduced_pair):
+        conductance, _, _, _, _, _ = reduced_pair
+        reverse = [1.01 * block for block in conductance.couple_bi]
+        self._assert_lu_route_solves(self._with(conductance, couple_bi=reverse))
+
+    def _assert_lu_route_solves(self, lhs):
+        solver = ReducedBlockSolver(lhs)
+        assert not solver.cholesky
+        rhs = np.random.default_rng(19).standard_normal(lhs.size)
+        dense = self._densify(lhs)
+        assert _relative_gap(solver.solve(rhs), np.linalg.solve(dense, rhs)) <= 1e-12
+
     def test_reduced_rhs_keeps_boundary_rows_exact(self, reduced_pair):
         _, _, reduced_series, series, boundary, galerkin = reduced_pair
         tail = reduced_series.size - galerkin.basis.size * boundary.size

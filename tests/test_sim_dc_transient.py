@@ -57,6 +57,24 @@ class TestDC:
         iterative = solve_dc(small_stamped.conductance, small_stamped.rhs(0.0), solver="cg")
         np.testing.assert_allclose(direct, iterative, rtol=1e-6, atol=1e-9)
 
+    def test_solve_dc_with_mean_block_cg(self, small_stamped):
+        # A plain MNA matrix is one block: DC needs no block size from the caller.
+        direct = solve_dc(small_stamped.conductance, small_stamped.rhs(0.0))
+        blocked = solve_dc(
+            small_stamped.conductance, small_stamped.rhs(0.0), solver="mean-block-cg"
+        )
+        np.testing.assert_allclose(blocked, direct, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("engine", ["deterministic", "montecarlo"])
+    def test_dc_engines_accept_mean_block_cg(self, engine):
+        from repro.api import Analysis
+
+        options = {"samples": 4, "seed": 3} if engine == "montecarlo" else {}
+        session = Analysis.from_spec(120, seed=5)
+        blocked = session.run(engine, mode="dc", solver="mean-block-cg", **options)
+        direct = session.run(engine, mode="dc", solver="direct", **options)
+        np.testing.assert_allclose(blocked.mean(), direct.mean(), rtol=0.0, atol=1e-12)
+
     def test_dcresult_drops(self):
         result = DCResult(voltages=np.array([1.0, 0.9]), vdd=1.2)
         np.testing.assert_allclose(result.drops, [0.2, 0.3])

@@ -346,9 +346,8 @@ class TestWarmStart:
             paper.run("hierarchical", mode="dc", solver="cg")
 
     def test_hierarchical_accepts_partition_unaware_backends(self, reference_sessions):
-        """Backends without ``accepts_partition`` (e.g. ``mean-block-cg``)
-        step the matrix-free operator directly instead of crashing on an
-        unexpected ``partition`` keyword."""
+        """Backends other than ``schur`` (e.g. ``mean-block-cg``) step the
+        matrix-free operator directly, with no ``partition`` keyword."""
         paper, _ = reference_sessions
         schur = paper.run("hierarchical", order=REF_ORDER)
         fast = paper.run("hierarchical", order=REF_ORDER, solver="mean-block-cg")
